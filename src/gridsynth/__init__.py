@@ -12,8 +12,6 @@ from .abstraction import (
     build_abstraction,
     build_input_grid,
     label_cells,
-    load_fts,
-    save_fts,
 )
 from .agents import (
     AcceptedSpec,
@@ -72,10 +70,8 @@ from .specformat import (
 from .synthesis import (
     ConcreteController,
     SymbolicController,
-    concretize,
     export_controller,
     load_controller,
-    solve_reach_avoid,
     solve_sequential,
 )
 

@@ -14,16 +14,13 @@ construction order, memory layout, and iteration order are all deterministic.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import VectorField, growth_factor
+from .dynamics import VectorField, propagate_box
 from .errors import EmptyInputSet, EmptyTarget, GeometryError
 from .geometry import SNAP_TOL, HyperRect, UniformGrid, snap
-
-MAGIC = b"GSYN1"
 
 
 def build_input_grid(input_bounds: HyperRect, eta_u) -> np.ndarray:
@@ -101,18 +98,6 @@ class FiniteTransitionSystem:
         return self._reverse
 
 
-def _rk4_batch(f, x0, u, tau, substeps):
-    x = np.array(x0, dtype=float)
-    h = tau / substeps
-    for _ in range(substeps):
-        k1 = f(x, u)
-        k2 = f(x + 0.5 * h * k1, u)
-        k3 = f(x + 0.5 * h * k2, u)
-        k4 = f(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 def build_abstraction(
     grid: UniformGrid,
     inputs: np.ndarray,
@@ -124,7 +109,8 @@ def build_abstraction(
 
     Inputs are iterated in the outer loop with all cells handled as one
     vectorized batch, so output is deterministic and the buffers merge in
-    pair-id order.
+    pair-id order.  Each input's box images come from propagate_box; a pair
+    whose image is non-finite is blocked and counted in nonfinite_pairs.
     """
     if grid.n != f.dim_state:
         raise GeometryError("grid/state dimension mismatch")
@@ -135,8 +121,6 @@ def build_abstraction(
     S = grid.num_cells
     n = grid.n
     centers = grid.all_centers()
-    radius = grid.eta / 2.0
-    new_radius = np.nextafter(growth_factor(f, tau) @ radius, np.inf)
     shape = np.array(grid.shape, dtype=np.int64)
     strides = grid._strides
     periodic = np.array(grid.periodic, dtype=bool)
@@ -149,7 +133,7 @@ def build_abstraction(
     nonfinite_pairs = 0
 
     for u_vec in inputs:
-        endc = _rk4_batch(f, centers, u_vec, tau, substeps)
+        endc, new_radius = propagate_box(f, centers, grid.eta / 2.0, u_vec, tau, substeps)
         finite = np.all(np.isfinite(endc), axis=1)
         nonfinite_pairs += int(np.sum(~finite))
         endc = np.where(finite[:, None], endc, 0.0)
@@ -279,48 +263,4 @@ def label_cells(grid: UniformGrid, spec) -> LabeledCells:
         obstacle_cells=frozenset(obstacle_cells),
         target_stages=tuple(target_stages),
         initial_cells=frozenset(initial),
-    )
-
-
-# --- binary cache ---------------------------------------------------------------
-
-
-def save_fts(fts: FiniteTransitionSystem, path):
-    """Bit-exact binary dump: magic, header, then the CSR arrays (little-endian)."""
-    eta = np.asarray(fts.eta if fts.eta is not None else [], dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(
-            struct.pack(
-                "<qqqqd",
-                eta.size,
-                fts.num_states,
-                fts.num_inputs,
-                fts.succ.size,
-                fts.tau,
-            )
-        )
-        fh.write(eta.tobytes())
-        fh.write(fts.indptr.astype("<i8").tobytes())
-        fh.write(fts.succ.astype("<i8").tobytes())
-        fh.write(fts.blocked.astype("<u1").tobytes())
-
-
-def load_fts(path) -> FiniteTransitionSystem:
-    with open(path, "rb") as fh:
-        if fh.read(5) != MAGIC:
-            raise GeometryError(f"{path}: not a transition-system cache")
-        n, S, U, nsucc, tau = struct.unpack("<qqqqd", fh.read(40))
-        eta = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        indptr = np.frombuffer(fh.read(8 * (S * U + 1)), dtype="<i8").copy()
-        succ = np.frombuffer(fh.read(8 * nsucc), dtype="<i8").copy()
-        blocked = np.frombuffer(fh.read(S * U), dtype="<u1").astype(bool)
-    return FiniteTransitionSystem(
-        num_states=S,
-        num_inputs=U,
-        indptr=indptr,
-        succ=succ,
-        blocked=blocked,
-        eta=eta if n else None,
-        tau=tau,
     )

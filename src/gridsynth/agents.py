@@ -14,6 +14,7 @@ scripted responses for tests and benchmarks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -32,6 +33,7 @@ DEFAULT_K_MAX = 2
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
 
 
+@functools.cache
 def _load_template(name: str) -> str:
     return (resources.files("gridsynth") / "prompts" / name).read_text(encoding="utf-8")
 

@@ -25,6 +25,7 @@ from .agents import (
 )
 from .dynamics import get_field
 from .errors import ClientError, GridSynthError
+from .geometry import HyperRect
 from .pipeline import synthesize
 from .simulator import (
     check_reach_avoid,
@@ -69,25 +70,13 @@ def cmd_synth(args) -> int:
         file=sys.stderr,
     )
     if args.svg:
-        winning_rects = [
-            result.grid.cell_box(c)
-            for c in sorted(
-                {
-                    int(c)
-                    for c in np.flatnonzero(pol.winning)
-                }
-            )
-        ]
-        # project winning cells to 2-D position boxes for display
-        from .geometry import HyperRect
-
-        winning_rects = sorted(
-            {
-                (tuple(r.lower[:2]), tuple(r.upper[:2]))
-                for r in winning_rects
-            }
-        )
-        winning_rects = [HyperRect(list(lo), list(hi)) for lo, hi in winning_rects]
+        # shade each position-plane (x, y) column holding a winning cell once
+        grid = result.grid
+        multi = np.unravel_index(np.flatnonzero(pol.winning), grid.shape)
+        columns = np.unique(np.stack(multi[:2], axis=-1), axis=0)
+        centers = grid.bounds.lower[:2] + (columns + 0.5) * grid.eta[:2]
+        half = grid.eta[:2] / 2.0
+        winning_rects = [HyperRect(c - half, c + half) for c in centers]
         Path(args.svg).write_text(render_svg(spec, winning_rects=winning_rects))
     if not result.initial_winning:
         print("initial cells are not all winning", file=sys.stderr)
@@ -194,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridsynth",
         description="Reach-avoid controller synthesis on uniform grid abstractions",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap (reserved)")
-    parser.add_argument("--seed", type=int, default=0, help="reserved for future use")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a controller from a spec file")

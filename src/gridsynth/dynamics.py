@@ -1,10 +1,11 @@
 """Continuous-time vector fields, RK4 integration, and box propagation.
 
 Vector fields are registered under string names so a problem spec can refer
-to them symbolically; the kinematic bicycle is built in.  Reachable boxes are
-propagated with a growth-matrix bound: the box center follows the exact
-(numerically integrated) flow while the radius is inflated by exp(L * tau),
-where L bounds the Jacobian magnitude componentwise.
+to them symbolically; the kinematic bicycle is built in.  integrate_path is
+the one RK4 stepper.  Reachable boxes are propagated with a growth-matrix
+bound: the box center follows the exact (numerically integrated) flow while
+the radius is inflated by exp(L * tau), where L bounds the Jacobian
+magnitude componentwise.
 """
 
 from __future__ import annotations
@@ -114,12 +115,12 @@ register_field(BICYCLE)
 # --- integration --------------------------------------------------------------
 
 
-def integrate(f, x0, u, tau, substeps=5, wrap=None):
+def integrate_path(f, x0, u, tau, substeps=5):
     """Fixed-step classic RK4 over [0, tau] with zero-order-hold input u.
 
-    x0 may be a single state or an (N, n) batch.  wrap, when given, is a
-    callable applied to the final state (periodic coordinate wrapping).
-    Raises NonFinite if any intermediate value blows up.
+    x0 may be a single state (n,) or an (N, n) batch.  Returns every substep
+    state, shape (substeps + 1, *x0.shape), with the initial state first.
+    The states are not judged: a blow-up comes back as non-finite values.
     """
     if tau <= 0:
         raise GeometryError("tau must be positive")
@@ -128,39 +129,24 @@ def integrate(f, x0, u, tau, substeps=5, wrap=None):
     x = np.array(x0, dtype=float)
     u = np.asarray(u, dtype=float)
     h = tau / substeps
-    for _ in range(substeps):
+    path = np.empty((substeps + 1,) + x.shape)
+    path[0] = x
+    for k in range(1, substeps + 1):
         k1 = f(x, u)
         k2 = f(x + 0.5 * h * k1, u)
         k3 = f(x + 0.5 * h * k2, u)
         k4 = f(x + h * k3, u)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path[k] = x
+    return path
+
+
+def integrate(f, x0, u, tau, substeps=5):
+    """RK4 endpoint of integrate_path; raises NonFinite if it blew up."""
+    x = integrate_path(f, x0, u, tau, substeps)[-1]
     if not np.all(np.isfinite(x)):
         raise NonFinite("integration produced non-finite state")
-    if wrap is not None:
-        x = wrap(x)
     return x
-
-
-def integrate_path(f, x0, u, tau, substeps=5, wrap=None):
-    """Like integrate, but returns every substep state: (substeps + 1, n)."""
-    if tau <= 0:
-        raise GeometryError("tau must be positive")
-    x = np.array(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h = tau / substeps
-    path = [x.copy()]
-    for _ in range(substeps):
-        k1 = f(x, u)
-        k2 = f(x + 0.5 * h * k1, u)
-        k3 = f(x + 0.5 * h * k2, u)
-        k4 = f(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path.append(x.copy())
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("integration produced non-finite state")
-    if wrap is not None:
-        path[-1] = wrap(path[-1])
-    return np.array(path)
 
 
 def growth_factor(vf: VectorField, tau: float) -> np.ndarray:
@@ -168,17 +154,18 @@ def growth_factor(vf: VectorField, tau: float) -> np.ndarray:
     return expm(vf.growth_matrix * tau)
 
 
-def propagate_box(vf: VectorField, center, radius, u, tau, substeps=5, wrap=None):
+def propagate_box(vf: VectorField, center, radius, u, tau, substeps=5):
     """Sound image of the box center +- radius under the sampled flow.
 
-    Returns (center', radius') with center' the RK4 endpoint of the center
-    and radius' = exp(L tau) * radius, inflated by one ulp per component to
+    center may be a single state (n,) or an (N, n) batch of centers sharing
+    one radius.  Returns (center', radius') with center' the RK4 endpoint of
+    each center (non-finite rows are returned as they are) and
+    radius' = exp(L tau) * radius, inflated by one ulp per component to
     preserve containment under floating-point rounding.
     """
     radius = np.asarray(radius, dtype=float)
     if np.any(radius < 0):
         raise GeometryError("radius must be non-negative")
-    new_center = integrate(vf, center, u, tau, substeps=substeps, wrap=wrap)
-    new_radius = growth_factor(vf, tau) @ radius
-    new_radius = np.nextafter(new_radius, np.inf)
+    new_center = integrate_path(vf, center, u, tau, substeps)[-1]
+    new_radius = np.nextafter(growth_factor(vf, tau) @ radius, np.inf)
     return new_center, new_radius

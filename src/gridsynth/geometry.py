@@ -378,14 +378,3 @@ class UniformGrid:
         """Flat ids of cells whose closed box is entirely inside r (target labeling)."""
         return self._cells_by_ranges(r, "contain")
 
-
-def cell_of(grid: UniformGrid, x) -> CellIndex:
-    return grid.cell_of(x)
-
-
-def center_of(grid: UniformGrid, c) -> np.ndarray:
-    return grid.center_of(c)
-
-
-def cells_overlapping(grid: UniformGrid, r: HyperRect):
-    return grid.cells_overlapping(r)

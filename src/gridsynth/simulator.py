@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import VectorField, integrate_path
-from .errors import OutsideWinningSet, UnsupportedDimension
+from .errors import NonFinite, OutsideWinningSet, UnsupportedDimension
 from .geometry import HyperRect
 from .specformat import ProblemSpec
 from .synthesis import ConcreteController
@@ -55,37 +55,48 @@ def simulate_closed_loop(
     max_steps: int,
     substeps: int = 5,
 ) -> Trajectory:
-    """Run the concretized controller from x0 until target entry or failure."""
+    """Run the concretized controller from x0 until target entry or failure.
+
+    The controller is asked once per sample.  The run ends ReachedTarget when
+    it reports the task done, LeftWinningSet when it refuses the state, and
+    StepLimit after max_steps steps (a refused last sample is still a
+    StepLimit).  Each step integrates with RK4, wraps the endpoint's periodic
+    coordinates, and raises NonFinite if the endpoint blew up.
+    """
     grid = ctrl.grid
     x = grid.wrap(np.asarray(x0, dtype=float))
     t = 0.0
     samples = [(0.0, x.copy(), None)]
     fine_times = [0.0]
     fine_states = [x.copy()]
+    h = tau / substeps
+    kind = "StepLimit"
 
-    if ctrl.done(x):
-        return Trajectory(samples, np.array(fine_times), np.array(fine_states),
-                          Termination("ReachedTarget", 0.0))
-
-    for _ in range(max_steps):
+    for step in range(max_steps + 1):
         try:
             u = ctrl(x)
         except OutsideWinningSet:
-            return Trajectory(samples, np.array(fine_times), np.array(fine_states),
-                              Termination("LeftWinningSet", t))
-        path = integrate_path(f, x, u, tau, substeps=substeps, wrap=grid.wrap)
-        h = tau / substeps
+            if step < max_steps:
+                kind = "LeftWinningSet"
+            break
+        if u is None:
+            kind = "ReachedTarget"
+            break
+        if step == max_steps:
+            break
+        path = integrate_path(f, x, u, tau, substeps=substeps)
+        if not np.all(np.isfinite(path[-1])):
+            raise NonFinite("integration produced non-finite state")
+        path[-1] = grid.wrap(path[-1])
         for k in range(1, substeps + 1):
             fine_times.append(t + k * h)
             fine_states.append(path[k])
         x = path[-1]
         t += tau
         samples.append((t, x.copy(), np.asarray(u, dtype=float)))
-        if ctrl.done(x):
-            return Trajectory(samples, np.array(fine_times), np.array(fine_states),
-                              Termination("ReachedTarget", t))
-    return Trajectory(samples, np.array(fine_times), np.array(fine_states),
-                      Termination("StepLimit", t))
+    return Trajectory(
+        samples, np.array(fine_times), np.array(fine_states), Termination(kind, t)
+    )
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ smallest input id, making the extracted controller deterministic.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .abstraction import FiniteTransitionSystem, LabeledCells
-from .errors import GeometryError, OutsideWinningSet
+from .errors import GeometryError, OutsideWinningSet, SchemaError
 from .geometry import HyperRect, UniformGrid
 
 
@@ -126,18 +127,6 @@ def _solve_stage(fts: FiniteTransitionSystem, obstacle_set, goal_set) -> StagePo
     )
 
 
-def solve_reach_avoid(
-    fts: FiniteTransitionSystem, labels: LabeledCells, stage: int = 0
-) -> SymbolicController:
-    """Maximal winning set and deterministic policy for one target stage."""
-    if not 0 <= stage < len(labels.target_stages):
-        raise GeometryError(f"stage {stage} out of range")
-    pol = _solve_stage(fts, labels.obstacle_cells, labels.target_stages[stage])
-    if labels.initial_cells and not any(pol.winning[c] for c in labels.initial_cells):
-        warnings.warn("no initial cell is winning (EmptyWinningSet)", stacklevel=2)
-    return SymbolicController(stages=[pol], inputs=None)
-
-
 def solve_sequential(fts: FiniteTransitionSystem, labels: LabeledCells) -> SymbolicController:
     """Solve all target stages last-to-first.
 
@@ -166,10 +155,7 @@ def solve_sequential(fts: FiniteTransitionSystem, labels: LabeledCells) -> Symbo
 class ConcreteController:
     """Feedback concretization of a symbolic controller.
 
-    Quantizes the measured state, looks up the certified abstract input, and
-    advances its own stage counter when the state's cell enters the current
-    stage's goal.  One instance per execution (the counter is the only
-    mutable state).
+    One instance per execution: the stage counter is its only mutable state.
     """
 
     def __init__(self, controller: SymbolicController, grid: UniformGrid):
@@ -177,37 +163,26 @@ class ConcreteController:
         self.grid = grid
         self.stage = 0
 
-    @property
-    def final_goal(self):
-        return self.controller.stages[-1].goal
+    def __call__(self, x) -> np.ndarray | None:
+        """Certified input for the continuous state x, or None when done.
 
-    def done(self, x) -> bool:
-        """True when x sits in the final stage's goal with all prior stages passed."""
+        Quantizes x once, advances the stage counter while the cell lies in
+        the current stage's goal, and returns None once the cell is in the
+        last stage's goal.  Raises OutsideWinningSet when the cell is not
+        winning at the current stage (halting is then required).
+        """
         cell = self.grid.cell_of(x).flat_id
-        self._advance(cell)
-        return self.stage == self.controller.num_stages - 1 and cell in self.final_goal
-
-    def _advance(self, cell: int):
-        while (
-            self.stage < self.controller.num_stages - 1
-            and cell in self.controller.stages[self.stage].goal
-        ):
+        stages = self.controller.stages
+        last = len(stages) - 1
+        while self.stage < last and cell in stages[self.stage].goal:
             self.stage += 1
-
-    def __call__(self, x) -> np.ndarray:
-        return concretize(self, self.grid, x)
-
-
-def concretize(ctrl: ConcreteController, grid: UniformGrid, x) -> np.ndarray:
-    """Input for the continuous state x at the controller's current stage."""
-    cell = grid.cell_of(x).flat_id
-    ctrl._advance(cell)
-    pol = ctrl.controller.stages[ctrl.stage]
-    if not pol.winning[cell]:
-        raise OutsideWinningSet(
-            f"cell {cell} is not winning at stage {ctrl.stage}; halting is required"
-        )
-    return ctrl.controller.input_for(ctrl.stage, cell)
+        if self.stage == last and cell in stages[last].goal:
+            return None
+        if not stages[self.stage].winning[cell]:
+            raise OutsideWinningSet(
+                f"cell {cell} is not winning at stage {self.stage}; halting is required"
+            )
+        return self.controller.input_for(self.stage, cell)
 
 
 # --- portable controller table ---------------------------------------------------
@@ -240,30 +215,49 @@ def export_controller(ctrl: SymbolicController, grid: UniformGrid, stream=None) 
 
 
 def load_controller(text: str):
-    """Parse an exported controller table. Returns (SymbolicController, UniformGrid)."""
+    """Parse an exported controller table. Returns (SymbolicController, UniformGrid).
+
+    The header (the leading '#' lines) and every row are validated; a
+    malformed field or row raises SchemaError naming its line.
+    """
+    lines = text.splitlines()
     header = {}
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
-                header[key.strip()] = val.strip()
-            continue
-        rows.append(line.split())
+    start = len(lines)
+    for i, line in enumerate(lines):
+        body = line.strip()
+        if body and not body.startswith("#"):
+            start = i
+            break
+        key, sep, val = body[1:].partition(":")
+        if sep:
+            header[key.strip()] = (i + 1, val.strip())
+
+    def field(key, parse, ok):
+        if key not in header:
+            raise SchemaError(f"controller table is missing header field '{key}'")
+        lineno, val = header[key]
+        try:
+            v = parse(val)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise SchemaError(f"malformed {key} {val!r}", path=f"controller line {lineno}")
+
+    floats = lambda val: np.array([float(v) for v in val.split()])  # noqa: E731
+    finite = lambda v: bool(np.all(np.isfinite(v)))  # noqa: E731
+    lower = field("state_lower", floats, finite)
+    upper = field("state_upper", floats, finite)
+    eta = field("eta", floats, finite)
+    periodic = field(
+        "periodic", lambda val: [int(v) for v in val.split()], lambda v: set(v) <= {0, 1}
+    )
+    num_stages = field("stages", int, lambda k: k >= 1)
+    input_dim = field("input_dim", int, lambda k: k >= 0)
     try:
-        lower = np.array([float(v) for v in header["state_lower"].split()])
-        upper = np.array([float(v) for v in header["state_upper"].split()])
-        eta = np.array([float(v) for v in header["eta"].split()])
-        periodic = [bool(int(v)) for v in header["periodic"].split()]
-        num_stages = int(header["stages"])
-        input_dim = int(header["input_dim"])
-    except KeyError as exc:
-        raise GeometryError(f"controller file missing header field {exc}") from None
-    grid = UniformGrid(HyperRect(lower, upper), eta, periodic)
+        grid = UniformGrid(HyperRect(lower, upper), eta, periodic)
+    except GeometryError as exc:
+        raise SchemaError(f"controller table header: {exc}") from None
     S = grid.num_cells
     stages = []
     for _ in range(num_stages):
@@ -277,9 +271,23 @@ def load_controller(text: str):
             )
         )
     goals = [set() for _ in range(num_stages)]
-    for parts in rows:
-        cell, stage_i, val = int(parts[0]), int(parts[1]), int(parts[2])
-        u = np.array([float(v) for v in parts[3 : 3 + input_dim]])
+    width = 3 + input_dim
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            cell, stage_i, val = map(int, parts[:3])
+            u = [float(v) for v in parts[3:]]
+            if not (len(parts) == width and 0 <= cell < S and 0 <= stage_i < num_stages
+                    and val >= 0 and all(map(math.isfinite, u))):
+                raise ValueError
+        except ValueError:
+            raise SchemaError(
+                f"malformed row {line.strip()!r}: want flat_id in [0, {S}), "
+                f"stage in [0, {num_stages}), value >= 0 and {input_dim} finite inputs",
+                path=f"controller line {lineno}",
+            ) from None
         pol = stages[stage_i]
         pol.winning[cell] = True
         pol.value[cell] = val

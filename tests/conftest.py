@@ -126,3 +126,28 @@ def brute_force_reach_avoid(fts, obstacle_set, target_set):
             winning.add(s)
             value[s] = level
     return winning, value
+
+
+def _edit_line(text, lineno, edit):
+    lines = text.splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1].split())
+    return "\n".join(lines) + "\n"
+
+
+# Damaged controller tables: id -> (line the damage is on, edit of that line's
+# whitespace-split fields).  Line 9 is the first row after the 8 header lines.
+MALFORMED_TABLE_EDITS = {
+    "cell-too-large": (9, lambda p: " ".join(["999999"] + p[1:])),
+    "cell-negative": (9, lambda p: " ".join(["-5"] + p[1:])),
+    "stage-out-of-range": (9, lambda p: " ".join(p[:1] + ["7"] + p[2:])),
+    "value-not-integer": (9, lambda p: " ".join(p[:2] + ["x"] + p[3:])),
+    "short-row": (9, lambda p: " ".join(p[:-1])),
+    "input-not-finite": (9, lambda p: " ".join(p[:-1] + ["nan"])),
+    "eta-not-a-number": (4, lambda p: "# eta: abc"),
+}
+
+
+def malformed_table(text, case):
+    """(line number, damaged copy of the exported table text) for one case."""
+    lineno, edit = MALFORMED_TABLE_EDITS[case]
+    return lineno, _edit_line(text, lineno, edit)

@@ -9,8 +9,6 @@ from gridsynth.abstraction import (
     build_abstraction,
     build_input_grid,
     label_cells,
-    load_fts,
-    save_fts,
 )
 from gridsynth.errors import EmptyInputSet, EmptyTarget
 from gridsynth.geometry import HyperRect, UniformGrid
@@ -96,6 +94,19 @@ class TestBuildAbstraction:
         # radius 0.5 grows by e: cells within +-e/2 of center overlap
         assert pairs(fts, 5, 0) >= {4, 5, 6}
 
+    def test_nonfinite_pairs_blocked_and_counted(self):
+        # at rest left of x = 5, infinite speed right of it: exactly the
+        # pairs of cells 5..9 are non-finite, and those alone are blocked
+        field = gs.VectorField(
+            "inf-right", 1, 1, lambda x, u: np.where(x > 5.0, np.inf, 0.0)
+        )
+        grid = UniformGrid(HyperRect([0.0], [10.0]), np.array([1.0]), [False])
+        fts = build_abstraction(grid, np.array([[-1.0], [1.0]]), field, 1.0)
+        assert np.array_equal(fts.blocked, np.tile(np.arange(10) >= 5, 2))
+        assert fts.nonfinite_pairs == 10
+        assert pairs(fts, 7, 1) == set()
+        assert 4 in pairs(fts, 4, 1)
+
     def test_bicycle_fixture_shape(self, bicycle_result):
         fts = bicycle_result.fts
         assert fts.num_states == 20 * 20 * 31
@@ -169,27 +180,3 @@ class TestLabelCells:
         assert len(inflated.obstacle_cells) > len(bare.obstacle_cells)
         assert bare.obstacle_cells < inflated.obstacle_cells
 
-
-class TestCache:
-    def test_round_trip_bit_exact(self, tmp_path, bicycle_result):
-        fts = bicycle_result.fts
-        p = tmp_path / "fts.bin"
-        save_fts(fts, p)
-        back = load_fts(p)
-        assert back.num_states == fts.num_states
-        assert back.num_inputs == fts.num_inputs
-        assert back.tau == fts.tau
-        assert np.array_equal(back.indptr, fts.indptr)
-        assert np.array_equal(back.succ, fts.succ)
-        assert np.array_equal(back.blocked, fts.blocked)
-        assert np.array_equal(back.eta, fts.eta)
-        # writing again is byte-identical
-        p2 = tmp_path / "fts2.bin"
-        save_fts(back, p2)
-        assert p.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(gs.GridSynthError):
-            load_fts(p)

@@ -30,7 +30,7 @@ from gridsynth.bench import (
 from gridsynth.cli import main as cli_main
 from gridsynth.dynamics import BICYCLE
 from gridsynth.simulator import Trajectory, check_reach_avoid, render_svg
-from gridsynth.synthesis import solve_reach_avoid
+from gridsynth.synthesis import solve_sequential
 
 from conftest import (
     bicycle_spec_text,
@@ -97,7 +97,7 @@ def test_criterion_2_solver_oracle_equivalence():
             target_stages=(frozenset(target),),
             initial_cells=frozenset(),
         )
-        ctrl = solve_reach_avoid(fts, labels)
+        ctrl = solve_sequential(fts, labels)
         win_ref, val_ref = brute_force_reach_avoid(fts, obstacle, target)
         if set(np.flatnonzero(ctrl.winning).tolist()) != win_ref:
             mismatches += 1

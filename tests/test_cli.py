@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,12 @@ import gridsynth as gs
 from gridsynth.agents import write_script
 from gridsynth.cli import main
 
-from conftest import bicycle_spec_text, correct_response
+from conftest import (
+    MALFORMED_TABLE_EDITS,
+    bicycle_spec_text,
+    correct_response,
+    malformed_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +88,25 @@ class TestSimulate:
         # the obstacle interior is never winning
         assert main(["simulate", str(spec_file), str(controller_file),
                      "--x0", "2.0,2.0,0.0"]) == 1
+
+    def test_malformed_table_is_an_error_not_a_traceback(
+        self, tmp_path, spec_file, controller_file
+    ):
+        src = str(Path(gs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for case in sorted(MALFORMED_TABLE_EDITS):
+            lineno, bad = malformed_table(controller_file.read_text(), case)
+            table = tmp_path / f"{case}.txt"
+            table.write_text(bad)
+            proc = subprocess.run(
+                [sys.executable, "-m", "gridsynth.cli", "simulate",
+                 str(spec_file), str(table)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 1, (case, proc.stderr)
+            assert f"error: controller line {lineno}: " in proc.stderr, case
+            assert "Traceback" not in proc.stderr, case
 
     def test_determinism(self, tmp_path, spec_file, controller_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

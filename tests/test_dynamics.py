@@ -121,7 +121,18 @@ class TestIntegrate:
         path = integrate_path(BICYCLE, [0, 0, 0], [1, 0], 0.3, substeps=5)
         assert path.shape == (6, 3)
         assert np.allclose(path[0], [0, 0, 0])
-        assert np.allclose(path[-1], gs.integrate(BICYCLE, [0, 0, 0], [1, 0], 0.3))
+        assert np.array_equal(path[-1], gs.integrate(BICYCLE, [0, 0, 0], [1, 0], 0.3))
+        # a batch keeps its leading axis behind the substep axis
+        batch = integrate_path(BICYCLE, np.zeros((4, 3)), [1, 0], 0.3, substeps=5)
+        assert batch.shape == (6, 4, 3)
+        assert np.array_equal(batch[:, 2], path)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_path_returns_blowup_unjudged(self):
+        blowup = gs.VectorField("blowup", 1, 1, lambda x, u: x * x * 1e3)
+        path = integrate_path(blowup, [10.0], [0.0], 10.0, substeps=50)
+        assert path.shape == (51, 1)
+        assert not np.isfinite(path[-1]).all()
 
 
 class TestPropagateBox:
@@ -136,6 +147,15 @@ class TestPropagateBox:
         )
         c, r = gs.propagate_box(integ, [0.0], [0.5], [1.0], 1.0)
         assert c == pytest.approx([1.0])
+        assert r == pytest.approx([0.5], rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_batch_centers_keep_nonfinite_rows(self):
+        blowup = gs.VectorField("blowup", 1, 1, lambda x, u: x * x * 1e3)
+        c, r = gs.propagate_box(blowup, [[0.0], [10.0]], [0.5], [0.0], 10.0, substeps=50)
+        assert c.shape == (2, 1)
+        assert c[0] == pytest.approx([0.0])
+        assert not np.isfinite(c[1]).any()
         assert r == pytest.approx([0.5], rel=1e-12)
 
     def test_bicycle_radius_grows(self):

@@ -3,18 +3,36 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.dynamics import BICYCLE
+from gridsynth.errors import NonFinite
 from gridsynth.simulator import (
+    Termination,
     Trajectory,
     check_reach_avoid,
     render_svg,
     simulate_closed_loop,
     trajectory_to_csv,
 )
+from gridsynth.synthesis import StagePolicy
 
 
 def traj_through(points, dt=0.1):
     times = [i * dt for i in range(len(points))]
     return Trajectory.from_waypoints(times, np.asarray(points, dtype=float))
+
+
+def line_controller(winning, goal, u):
+    """One-stage controller on ten unit cells over [0, 10] with one input."""
+    pol = StagePolicy(
+        winning=np.asarray(winning, dtype=bool),
+        choice=np.zeros(10, dtype=np.int64),
+        value=np.ones(10, dtype=np.int64),
+        goal=frozenset(goal),
+    )
+    ctrl = gs.SymbolicController(stages=[pol], inputs=np.array([[u]]))
+    return gs.ConcreteController(ctrl, gs.UniformGrid(gs.HyperRect([0.0], [10.0]), [1.0]))
+
+
+SHIFT = gs.VectorField("shift", 1, 1, lambda x, u: np.broadcast_to(u, x.shape))
 
 
 class TestClosedLoop:
@@ -55,6 +73,40 @@ class TestClosedLoop:
             BICYCLE, ctrl, [0.5, 0.5, 0.0], bicycle_spec.tau, max_steps=2
         )
         assert traj.termination.kind == "StepLimit"
+
+    def test_refused_last_sample_is_step_limit(self):
+        # only cell 0 is winning; one step moves the state into cell 1
+        winning = np.arange(10) == 0
+        for max_steps, kind in ((1, "StepLimit"), (2, "LeftWinningSet")):
+            ctrl = line_controller(winning, {9}, 1.0)
+            traj = simulate_closed_loop(SHIFT, ctrl, [0.5], 1.0, max_steps)
+            assert traj.termination == Termination(kind, 1.0)
+            assert len(traj.samples) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nonfinite_step_raises(self):
+        blowup = gs.VectorField("blowup", 1, 1, lambda x, u: x * x * 1e3)
+        ctrl = line_controller(np.ones(10), {9}, 0.0)
+        with pytest.raises(NonFinite):
+            simulate_closed_loop(blowup, ctrl, [5.5], 10.0, max_steps=5)
+
+    def test_one_cell_lookup_per_sample(self, bicycle_spec, bicycle_result,
+                                        monkeypatch):
+        calls = []
+        cell_of = gs.UniformGrid.cell_of
+
+        def counted(grid, x):
+            calls.append(x)
+            return cell_of(grid, x)
+
+        monkeypatch.setattr(gs.UniformGrid, "cell_of", counted)
+        traj = simulate_closed_loop(
+            BICYCLE, bicycle_result.concrete_controller(), [0.5, 0.5, 0.0],
+            bicycle_spec.tau, max_steps=200,
+        )
+        assert traj.termination.kind == "ReachedTarget"
+        assert len(traj.samples) > 2
+        assert len(calls) == len(traj.samples)
 
     def test_start_in_target(self, bicycle_spec, bicycle_result):
         ctrl = bicycle_result.concrete_controller()

@@ -5,16 +5,20 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.abstraction import FiniteTransitionSystem, LabeledCells
-from gridsynth.errors import OutsideWinningSet
+from gridsynth.errors import GridSynthError, OutsideWinningSet
 from gridsynth.synthesis import (
-    concretize,
+    _solve_stage,
     export_controller,
     load_controller,
-    solve_reach_avoid,
     solve_sequential,
 )
 
-from conftest import brute_force_reach_avoid, make_random_fts
+from conftest import (
+    MALFORMED_TABLE_EDITS,
+    brute_force_reach_avoid,
+    make_random_fts,
+    malformed_table,
+)
 
 
 def fts_from_dict(num_states, num_inputs, table):
@@ -50,7 +54,7 @@ class TestSolveReachAvoid:
     def test_three_state_chain(self):
         # 0 -> 1 -> 2 -> 2 under the only input; target {2}
         fts = fts_from_dict(3, 1, {(0, 0): [1], (1, 0): [2], (2, 0): [2]})
-        ctrl = solve_reach_avoid(fts, labels({2}))
+        ctrl = solve_sequential(fts, labels({2}))
         assert ctrl.winning.tolist() == [True, True, True]
         assert ctrl.value.tolist() == [2, 1, 0]
         assert ctrl.choice[0] == 0 and ctrl.choice[1] == 0
@@ -63,33 +67,33 @@ class TestSolveReachAvoid:
             {(0, 0): [2, 3], (0, 1): [2], (2, 0): [2], (2, 1): [2],
              (3, 0): [3], (3, 1): [3]},
         )
-        ctrl = solve_reach_avoid(fts, labels({2}))
+        ctrl = solve_sequential(fts, labels({2}))
         assert ctrl.winning[0]
         assert ctrl.choice[0] == 1
         assert not ctrl.winning[3]
 
     def test_obstacle_excluded(self):
         fts = fts_from_dict(3, 1, {(0, 0): [1], (1, 0): [2], (2, 0): [2]})
-        ctrl = solve_reach_avoid(fts, labels({2}, obstacles={1}))
+        ctrl = solve_sequential(fts, labels({2}, obstacles={1}))
         assert not ctrl.winning[0]
         assert not ctrl.winning[1]
         assert ctrl.winning[2]
 
     def test_obstacle_target_overlap_obstacle_wins(self):
         fts = fts_from_dict(2, 1, {(0, 0): [1], (1, 0): [1]})
-        ctrl = solve_reach_avoid(fts, labels({0, 1}, obstacles={0}))
+        ctrl = solve_sequential(fts, labels({0, 1}, obstacles={0}))
         assert not ctrl.winning[0]
         assert ctrl.winning[1]
 
     def test_tie_break_smallest_input(self):
         fts = fts_from_dict(2, 3, {(0, 1): [1], (0, 2): [1], (1, 0): [1]})
-        ctrl = solve_reach_avoid(fts, labels({1}))
+        ctrl = solve_sequential(fts, labels({1}))
         assert ctrl.choice[0] == 1
 
     def test_empty_winning_warns(self):
         fts = fts_from_dict(2, 1, {(0, 0): [0], (1, 0): [1]})
         with pytest.warns(UserWarning, match="EmptyWinningSet"):
-            solve_reach_avoid(fts, labels({1}, initial={0}))
+            solve_sequential(fts, labels({1}, initial={0}))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -102,7 +106,7 @@ class TestSolveReachAvoid:
                                     replace=False).tolist()) - obstacle
             if not target:
                 continue
-            ctrl = solve_reach_avoid(fts, labels(target, obstacles=obstacle))
+            ctrl = solve_sequential(fts, labels(target, obstacles=obstacle))
             win_ref, val_ref = brute_force_reach_avoid(fts, obstacle, target)
             assert set(np.flatnonzero(ctrl.winning).tolist()) == win_ref
             for s in win_ref:
@@ -114,7 +118,7 @@ class TestSolveReachAvoid:
         rng = np.random.default_rng(7)
         fts = make_random_fts(rng)
         target = {0, 1}
-        ctrl = solve_reach_avoid(fts, labels(target))
+        ctrl = solve_sequential(fts, labels(target))
         win = set(np.flatnonzero(ctrl.winning).tolist())
         for s in range(fts.num_states):
             if s in win:
@@ -126,8 +130,8 @@ class TestSolveReachAvoid:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         fts = make_random_fts(rng)
-        a = solve_reach_avoid(fts, labels({0}))
-        b = solve_reach_avoid(fts, labels({0}))
+        a = solve_sequential(fts, labels({0}))
+        b = solve_sequential(fts, labels({0}))
         assert np.array_equal(a.winning, b.winning)
         assert np.array_equal(a.choice, b.choice)
         assert np.array_equal(a.value, b.value)
@@ -138,7 +142,7 @@ class TestSolveReachAvoid:
         for _ in range(10):
             fts = make_random_fts(rng)
             target = {0}
-            ctrl = solve_reach_avoid(fts, labels(target))
+            ctrl = solve_sequential(fts, labels(target))
             for s in np.flatnonzero(ctrl.winning):
                 if int(s) in target:
                     continue
@@ -180,7 +184,7 @@ class TestSolveSequential:
     def test_single_stage_equals_plain_solver(self):
         rng = np.random.default_rng(3)
         fts = make_random_fts(rng)
-        a = solve_reach_avoid(fts, labels({0, 1}))
+        a = _solve_stage(fts, frozenset(), {0, 1})
         b = solve_sequential(fts, labels({0, 1}))
         assert np.array_equal(a.winning, b.winning)
         assert np.array_equal(a.choice, b.choice)
@@ -192,7 +196,7 @@ class TestConcrete:
         grid = bicycle_result.grid
         cell = next(iter(bicycle_result.labels.initial_cells))
         x = grid.center_of(cell)
-        u = concretize(ctrl, grid, x)
+        u = ctrl(x)
         assert u.shape == (2,)
         # the returned input is the certified table entry for that cell
         uid = int(bicycle_result.controller.stages[ctrl.stage].choice[cell])
@@ -204,7 +208,7 @@ class TestConcrete:
         # an obstacle cell is never winning
         cell = next(iter(bicycle_result.labels.obstacle_cells))
         with pytest.raises(OutsideWinningSet):
-            concretize(ctrl, grid, grid.center_of(cell))
+            ctrl(grid.center_of(cell))
 
     def test_stage_advances_on_goal_entry(self):
         table = {}
@@ -218,12 +222,12 @@ class TestConcrete:
         grid = gs.UniformGrid(gs.HyperRect([0.0], [5.0]), [1.0])
         cc = gs.ConcreteController(ctrl, grid)
         assert cc.stage == 0
-        assert concretize(cc, grid, [0.5]) == pytest.approx([1.0])
+        assert cc([0.5]) == pytest.approx([1.0])
         assert cc.stage == 0
-        concretize(cc, grid, [2.5])  # inside stage-0 goal: advance
+        cc([2.5])  # inside stage-0 goal: advance
         assert cc.stage == 1
-        assert not cc.done([3.5])
-        assert cc.done([4.5])
+        assert cc([3.5]) is not None
+        assert cc([4.5]) is None  # final goal reached: done
 
 
 class TestExport:
@@ -253,3 +257,17 @@ class TestExport:
         buf = io.StringIO()
         export_controller(bicycle_result.controller, bicycle_result.grid, stream=buf)
         assert buf.getvalue().startswith("# gridsynth controller v1")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TABLE_EDITS))
+    def test_malformed_table_names_line(self, bicycle_result, case):
+        text = export_controller(bicycle_result.controller, bicycle_result.grid)
+        assert text.splitlines()[3].startswith("# eta:")
+        lineno, bad = malformed_table(text, case)
+        with pytest.raises(GridSynthError, match=f"controller line {lineno}: "):
+            load_controller(bad)
+
+    def test_missing_header_field(self, bicycle_result):
+        text = export_controller(bicycle_result.controller, bicycle_result.grid)
+        bad = "".join(ln for ln in text.splitlines(True) if not ln.startswith("# stages:"))
+        with pytest.raises(GridSynthError, match="missing header field 'stages'"):
+            load_controller(bad)
