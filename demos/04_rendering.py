@@ -30,15 +30,7 @@ traj = gs.simulate_closed_loop(BICYCLE, ctrl, x0, spec.tau, max_steps=300)
 print(f"closed loop: {traj.termination.kind} at t = {traj.termination.time}")
 
 # shade the stage-0 winning set, projected onto the position plane
-grid = result.grid
-winning = np.flatnonzero(result.controller.winning)
-seen = set()
-rects = []
-for cell in winning:
-    key = tuple(grid.index(int(cell)).multi_index[:2])
-    if key not in seen:
-        seen.add(key)
-        rects.append(grid.cell_box(int(cell)))
+rects = gs.winning_columns(result.grid, result.controller.winning)
 
 svg = gs.render_svg(spec, traj, winning_rects=rects)
 assert svg == gs.render_svg(spec, traj, winning_rects=rects)  # byte-identical

@@ -58,6 +58,7 @@ from .simulator import (
     render_svg,
     simulate_closed_loop,
     trajectory_to_csv,
+    winning_columns,
 )
 from .specformat import (
     MismatchReport,

@@ -47,18 +47,26 @@ def build_input_grid(input_bounds: HyperRect, eta_u) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _index_dtype(max_value: int):
+    """Narrowest index dtype for values up to max_value: int32 below 2**31."""
+    return np.int32 if max_value < 2**31 else np.int64
+
+
 @dataclass
 class FiniteTransitionSystem:
     """Sparse transition relation over abstract states and inputs.
 
     Pair (state s, input u) lives at index u * num_states + s; its successor
-    list is succ[indptr[q]:indptr[q+1]], sorted and duplicate-free.
+    list is succ[indptr[q]:indptr[q+1]], sorted and duplicate-free.  Index
+    arrays take _index_dtype of their largest value: succ holds state ids
+    (int32 unless num_states reaches 2**31), the reverse relation holds pair
+    ids; indptr is always int64.
     """
 
     num_states: int
     num_inputs: int
     indptr: np.ndarray  # int64, length num_states * num_inputs + 1
-    succ: np.ndarray  # int64
+    succ: np.ndarray  # _index_dtype(num_states)
     blocked: np.ndarray  # bool, length num_states * num_inputs
     eta: np.ndarray = None
     tau: float = 0.0
@@ -82,18 +90,38 @@ class FiniteTransitionSystem:
     def reverse(self):
         """Predecessor map: for each state s', the pair ids q with s' in succ(q).
 
-        Returns (rev_indptr, rev_pairs) CSR over states; built once, cached.
+        Returns (rev_indptr, rev_pairs) CSR over states, pair ids ascending
+        within each state; built once, cached.  Filled one input block at a
+        time: block u holds pair ids above every earlier block's, so sorting
+        each block's edges by (target, pair id) and appending them to their
+        targets' rows gives the order of a global stable sort by target
+        without any relation-sized temporary.
         """
         if self._reverse is None:
-            pair_of_edge = np.repeat(
-                np.arange(self.num_states * self.num_inputs, dtype=np.int64),
-                np.diff(self.indptr),
-            )
-            order = np.argsort(self.succ, kind="stable")
-            rev_pairs = pair_of_edge[order]
-            rev_indptr = np.zeros(self.num_states + 1, dtype=np.int64)
-            np.add.at(rev_indptr[1:], self.succ, 1)
-            np.cumsum(rev_indptr, out=rev_indptr)
+            S, U = self.num_states, self.num_inputs
+            blocks = [self.succ[self.indptr[u * S] : self.indptr[(u + 1) * S]] for u in range(U)]
+            # per-block counts: a bincount of all of succ would copy it to intp
+            hits = np.array([np.bincount(b, minlength=S) for b in blocks])
+            rev_indptr = np.zeros(S + 1, dtype=np.int64)
+            np.cumsum(hits.sum(axis=0), out=rev_indptr[1:])
+            rev_pairs = np.empty(self.succ.size, dtype=_index_dtype(S * U))
+            filled = rev_indptr[:-1].copy()  # next free slot of each state's row
+            # key target * S + state is unique within a block, so a plain sort
+            # orders the block's edges by target, then by pair id; the key
+            # later holds pair ids, hence the max(S, U)
+            key_dtype = _index_dtype(S * max(S, U))
+            states = np.arange(S, dtype=key_dtype)
+            for u, targets in enumerate(blocks):
+                key = np.repeat(states, np.diff(self.indptr[u * S : (u + 1) * S + 1]))
+                key += targets * key_dtype(S)
+                key.sort()
+                key %= key_dtype(S)
+                key += key_dtype(u * S)  # now the pair ids, grouped by target
+                # the block's edges into t go to filled[t], filled[t] + 1, ...
+                slot = np.repeat(filled - (np.cumsum(hits[u]) - hits[u]), hits[u])
+                slot += np.arange(key.size)
+                rev_pairs[slot] = key
+                filled += hits[u]
             self._reverse = (rev_indptr, rev_pairs)
         return self._reverse
 
@@ -119,6 +147,7 @@ def build_abstraction(
         raise GeometryError("inputs must be a (num_inputs, m) array")
 
     S = grid.num_cells
+    index = _index_dtype(S)
     n = grid.n
     centers = grid.all_centers()
     shape = np.array(grid.shape, dtype=np.int64)
@@ -127,12 +156,13 @@ def build_abstraction(
     lower = grid.bounds.lower
     upper = grid.bounds.upper
 
+    U = inputs.shape[0]
     succ_blocks = []
-    count_blocks = []
-    blocked_blocks = []
+    indptr = np.zeros(S * U + 1, dtype=np.int64)  # counts until the cumsum below
+    blocked_all = np.empty(S * U, dtype=bool)
     nonfinite_pairs = 0
 
-    for u_vec in inputs:
+    for u, u_vec in enumerate(inputs):
         endc, new_radius = propagate_box(f, centers, grid.eta / 2.0, u_vec, tau, substeps)
         finite = np.all(np.isfinite(endc), axis=1)
         nonfinite_pairs += int(np.sum(~finite))
@@ -160,38 +190,44 @@ def build_abstraction(
         span = np.maximum(span, 0)
 
         counts = np.where(blocked, 0, np.prod(span, axis=1))
-        total = int(counts.sum())
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        row = np.repeat(np.arange(S, dtype=np.int64), counts)
-        r = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+        offsets = np.cumsum(counts) - counts
+        flat = np.empty(int(counts.sum()), dtype=index)
 
-        flat = np.zeros(total, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            d = r % span[row, i]
-            r //= span[row, i]
-            k = k_min[row, i] + d
-            if periodic[i]:
-                k %= shape[i]
-            flat += k * strides[i]
-
-        # successor lists must be sorted within each pair (wrapping breaks order)
-        if np.any(periodic):
-            order = np.lexsort((flat, row))
-            flat = flat[order]
+        # A periodic dimension lists its cyclic interval a, a+1, ... (mod N) in
+        # ascending order: the w values that wrap past N come first as
+        # 0..w-1, then a..N-1.  So the d-th value is a + d - (a if d < w else
+        # w), and the row-major product of the per-dimension lists is sorted.
+        a = np.where(periodic, k_min % shape, k_min)
+        w = np.where(periodic, np.maximum(a + span - shape, 0), 0)
+        base = a @ strides
+        # pairs with the same span share one offset stencil
+        live = np.flatnonzero(counts)
+        keys, group = np.unique(
+            np.ravel_multi_index(span[live].T, shape + 1), return_inverse=True
+        )
+        for g, key in enumerate(keys):
+            rows = live[group == g]
+            digits = np.indices(np.unravel_index(key, shape + 1)).reshape(n, -1)
+            block = (base[rows, None] + (strides @ digits)[None, :]).astype(index)
+            for i in np.flatnonzero(periodic):
+                wrap = np.flatnonzero(w[rows, i])
+                if wrap.size:
+                    ai = a[rows[wrap], i, None]
+                    wi = w[rows[wrap], i, None]
+                    block[wrap] -= np.where(digits[i] < wi, ai, wi) * strides[i]
+            flat[offsets[rows, None] + np.arange(digits.shape[1])] = block
 
         succ_blocks.append(flat)
-        count_blocks.append(counts)
-        blocked_blocks.append(blocked)
+        indptr[1 + u * S : 1 + (u + 1) * S] = counts
+        blocked_all[u * S : (u + 1) * S] = blocked
 
-    counts_all = np.concatenate(count_blocks)
-    indptr = np.zeros(counts_all.size + 1, dtype=np.int64)
-    np.cumsum(counts_all, out=indptr[1:])
+    np.cumsum(indptr, out=indptr)
     return FiniteTransitionSystem(
         num_states=S,
-        num_inputs=inputs.shape[0],
+        num_inputs=U,
         indptr=indptr,
-        succ=np.concatenate(succ_blocks) if succ_blocks else np.zeros(0, np.int64),
-        blocked=np.concatenate(blocked_blocks),
+        succ=np.concatenate(succ_blocks) if succ_blocks else np.zeros(0, index),
+        blocked=blocked_all,
         eta=grid.eta,
         tau=float(tau),
         nonfinite_pairs=nonfinite_pairs,

@@ -25,13 +25,13 @@ from .agents import (
 )
 from .dynamics import get_field
 from .errors import ClientError, GridSynthError
-from .geometry import HyperRect
 from .pipeline import synthesize
 from .simulator import (
     check_reach_avoid,
     render_svg,
     simulate_closed_loop,
     trajectory_to_csv,
+    winning_columns,
 )
 from .specformat import canonicalize, parse_spec, serialize_spec
 from .synthesis import export_controller, load_controller, ConcreteController
@@ -70,13 +70,7 @@ def cmd_synth(args) -> int:
         file=sys.stderr,
     )
     if args.svg:
-        # shade each position-plane (x, y) column holding a winning cell once
-        grid = result.grid
-        multi = np.unravel_index(np.flatnonzero(pol.winning), grid.shape)
-        columns = np.unique(np.stack(multi[:2], axis=-1), axis=0)
-        centers = grid.bounds.lower[:2] + (columns + 0.5) * grid.eta[:2]
-        half = grid.eta[:2] / 2.0
-        winning_rects = [HyperRect(c - half, c + half) for c in centers]
+        winning_rects = winning_columns(result.grid, pol.winning)
         Path(args.svg).write_text(render_svg(spec, winning_rects=winning_rects))
     if not result.initial_winning:
         print("initial cells are not all winning", file=sys.stderr)

@@ -184,6 +184,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def winning_columns(grid, winning) -> list:
+    """Position-plane (x, y) boxes of the grid columns holding a winning cell.
+
+    One box per distinct (x, y) column, in ascending column order, for
+    render_svg's winning_rects.
+    """
+    multi = np.unravel_index(np.flatnonzero(winning), grid.shape)
+    columns = np.unique(np.stack(multi[:2], axis=-1), axis=0)
+    centers = grid.bounds.lower[:2] + (columns + 0.5) * grid.eta[:2]
+    half = grid.eta[:2] / 2.0
+    return [HyperRect(c - half, c + half) for c in centers]
+
+
 _SVG_SCALE = 100.0  # pixels per state unit
 _SVG_MARGIN = 20.0
 

@@ -4,9 +4,13 @@ The winning set is the least fixed point of the controllable-predecessor
 operator under worst-case nondeterminism: an input certifies a state only
 when every abstract successor is already winning.  The solver runs a
 backward breadth-first sweep over the precomputed reverse relation with
-per-(state, input) outstanding-successor counters, so it is linear in the
-number of transitions.  Ties between certifying inputs break toward the
-smallest input id, making the extracted controller deterministic.
+per-(state, input) outstanding-successor counters.  Each level gathers the
+reverse edges into the frontier, sorts their pair ids and counts each run,
+and takes the counts off the counters; a pair whose counter reaches zero
+certifies its state.  Every edge is gathered once per stage, so a stage
+costs one sort of the relation in level-sized pieces.  Ties between
+certifying inputs break toward the smallest input id, making the extracted
+controller deterministic.
 """
 
 from __future__ import annotations
@@ -90,21 +94,24 @@ def _solve_stage(fts: FiniteTransitionSystem, obstacle_set, goal_set) -> StagePo
     value[goal] = 0
 
     rev_indptr, rev_pairs = fts.reverse()
-    outstanding = np.diff(fts.indptr).copy()
+    outstanding = np.diff(fts.indptr).astype(np.int32)
 
     frontier = np.sort(goal)
     level = 0
     while frontier.size:
         level += 1
-        # every reverse edge into the frontier decrements its pair counter
-        slices = [rev_pairs[rev_indptr[s] : rev_indptr[s + 1]] for s in frontier]
-        if not slices:
+        # gather the reverse edges into the frontier: every hit on a pair
+        # takes one off its outstanding-successor count
+        lo = rev_indptr[frontier]
+        lens = rev_indptr[frontier + 1] - lo
+        total = int(lens.sum())
+        if total == 0:
             break
-        qs = np.concatenate(slices) if slices else np.zeros(0, np.int64)
-        if qs.size == 0:
-            break
-        np.subtract.at(outstanding, qs, 1)
-        cand = np.unique(qs)
+        qs = rev_pairs[np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(total)]
+        qs.sort()
+        starts = np.flatnonzero(np.concatenate([[True], qs[1:] != qs[:-1]]))
+        cand = qs[starts]
+        outstanding[cand] -= np.diff(np.append(starts, total)).astype(np.int32)
         cand = cand[outstanding[cand] == 0]
         s = cand % S
         u = cand // S
@@ -205,9 +212,17 @@ def export_controller(ctrl: SymbolicController, grid: UniformGrid, stream=None) 
     buf.write(f"# input_dim: {ctrl.input_dim}\n")
     buf.write("# columns: flat_id stage value inputs...\n")
     for stage_i, pol in enumerate(ctrl.stages):
-        for cell in np.flatnonzero(pol.winning):
-            u = ctrl.input_for(stage_i, int(cell))
-            buf.write(f"{int(cell)} {stage_i} {int(pol.value[cell])} {fmt(u)}\n")
+        cells = np.flatnonzero(pol.winning)
+        if pol.input_vec is not None:  # imported table: one input row per cell
+            table, ids = pol.input_vec[cells], np.arange(cells.size)
+        else:  # choice -1 (a goal cell) picks the zero vector appended last
+            table = np.vstack([ctrl.inputs, np.zeros((1, ctrl.input_dim))])
+            ids = pol.choice[cells]
+        labels = [fmt(u) for u in table]
+        buf.writelines(
+            f"{c} {stage_i} {v} {labels[k]}\n"
+            for c, v, k in zip(cells.tolist(), pol.value[cells].tolist(), ids.tolist())
+        )
     text = buf.getvalue()
     if stream is not None:
         stream.write(text)
@@ -289,6 +304,11 @@ def load_controller(text: str):
                 path=f"controller line {lineno}",
             ) from None
         pol = stages[stage_i]
+        if pol.winning[cell]:
+            raise SchemaError(
+                f"repeated row for cell {cell} at stage {stage_i}",
+                path=f"controller line {lineno}",
+            )
         pol.winning[cell] = True
         pol.value[cell] = val
         pol.input_vec[cell] = u

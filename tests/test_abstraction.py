@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 import gridsynth as gs
 from gridsynth.abstraction import (
     FiniteTransitionSystem,
+    _index_dtype,
     build_abstraction,
     build_input_grid,
     label_cells,
 )
 from gridsynth.errors import EmptyInputSet, EmptyTarget
 from gridsynth.geometry import HyperRect, UniformGrid
+
+from conftest import make_random_fts
 
 
 def pairs(fts, state, inp):
@@ -180,3 +184,93 @@ class TestLabelCells:
         assert len(inflated.obstacle_cells) > len(bare.obstacle_cells)
         assert bare.obstacle_cells < inflated.obstacle_cells
 
+
+def shift_field(growth):
+    """dx/dt = u in 3-D with a diagonal growth bound (widens the boxes)."""
+    return gs.VectorField(
+        "shift3", 3, 3,
+        lambda x, u: np.broadcast_to(u, x.shape),
+        growth_matrix=np.diag(growth),
+    )
+
+
+# 3-D grid whose first dimension is periodic (6 cells); the shifts and radii
+# keep every box edge away from cell boundaries, so the reference needs no
+# snapping.
+WRAP_GRID = UniformGrid(
+    HyperRect([0.0, 0.0, 0.0], [6.0, 4.0, 5.0]), np.ones(3), [True, False, False]
+)
+WRAP_INPUTS = np.array([[1.25, 0.0, 0.0], [-2.5, 0.25, 0.0], [0.0, 0.0, -0.25]])
+
+
+def reference_successors(grid, field, u_vec, s):
+    """Sorted successors of one pair by Python integer arithmetic: the cells
+    the propagated box touches, taken with % in periodic dimensions and
+    clamped in the others; None when the box leaves the grid (blocked)."""
+    endc, radius = gs.propagate_box(
+        field, grid.center_of(s)[None, :], grid.eta / 2.0, u_vec, 1.0, 5
+    )
+    axes = []
+    for i in range(grid.n):
+        lo = (endc[0, i] - radius[i] - grid.bounds.lower[i]) / grid.eta[i]
+        hi = (endc[0, i] + radius[i] - grid.bounds.lower[i]) / grid.eta[i]
+        ks = range(math.ceil(lo - 1.0), math.floor(hi) + 1)
+        if grid.periodic[i]:
+            axes.append({k % grid.shape[i] for k in ks})
+        elif lo < 0 or hi > grid.shape[i]:
+            return None
+        else:
+            axes.append(set(ks))
+    strides = [int(st) for st in grid._strides]
+    return sorted(
+        sum(k * st for k, st in zip(multi, strides))
+        for multi in itertools.product(*axes)
+    )
+
+
+def transpose_by_stable_argsort(fts):
+    """Reference reverse relation: a global stable sort of the edges by target."""
+    pair_of_edge = np.repeat(
+        np.arange(fts.num_states * fts.num_inputs), np.diff(fts.indptr)
+    )
+    rev_pairs = pair_of_edge[np.argsort(fts.succ, kind="stable")]
+    counts = np.bincount(fts.succ, minlength=fts.num_states)
+    return np.concatenate([[0], np.cumsum(counts)]), rev_pairs
+
+
+class TestIndexPaths:
+    @pytest.mark.parametrize("growth0", [0.5, 1.5])
+    def test_wrapped_successors_sorted_and_exact(self, growth0):
+        field = shift_field([growth0, 0.5, 0.5])
+        fts = build_abstraction(WRAP_GRID, WRAP_INPUTS, field, 1.0)
+        assert fts.succ.dtype == np.int32
+        wrapped = 0
+        for u, u_vec in enumerate(WRAP_INPUTS):
+            for s in range(fts.num_states):
+                got = fts.delta(s, u)
+                want = reference_successors(WRAP_GRID, field, u_vec, s)
+                if want is None:
+                    assert fts.is_blocked(s, u) and got.size == 0, (s, u)
+                    continue
+                assert np.all(np.diff(got) > 0), (s, u)
+                assert got.tolist() == want, (s, u)
+                layers = {t // int(WRAP_GRID._strides[0]) for t in want}
+                wrapped += {0, 5} <= layers and len(layers) < 6
+        assert wrapped > 0  # some boxes really cross the periodic seam
+
+    def test_reverse_matches_stable_argsort(self):
+        wrap = build_abstraction(WRAP_GRID, WRAP_INPUTS, shift_field([1.5, 0.5, 0.5]), 1.0)
+        rng = np.random.default_rng(5)
+        hand = make_random_fts(rng)
+        assert hand.succ.dtype == np.int64
+        for fts in (wrap, hand):
+            rptr, rpairs = fts.reverse()
+            want_ptr, want_pairs = transpose_by_stable_argsort(fts)
+            assert np.array_equal(rptr, want_ptr)
+            assert np.array_equal(rpairs.astype(np.int64), want_pairs)
+
+    def test_index_dtype_widens_at_2_pow_31(self):
+        assert _index_dtype(0) is np.int32
+        assert _index_dtype(2**31 - 1) is np.int32
+        assert _index_dtype(2**31) is np.int64
+        assert _index_dtype(50_000 * 50_000) is np.int64

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.abstraction import FiniteTransitionSystem, LabeledCells
+from gridsynth.bench import fixtures_dir
 from gridsynth.errors import GridSynthError, OutsideWinningSet
 from gridsynth.synthesis import (
     _solve_stage,
@@ -181,6 +183,25 @@ class TestSolveSequential:
         assert 2 not in ctrl.stages[0].goal
         assert not ctrl.stages[0].winning[2]
 
+    def test_int32_relation_gives_the_same_policy(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            wide = make_random_fts(rng)
+            narrow = FiniteTransitionSystem(
+                num_states=wide.num_states,
+                num_inputs=wide.num_inputs,
+                indptr=wide.indptr,
+                succ=wide.succ.astype(np.int32),
+                blocked=wide.blocked,
+            )
+            assert wide.succ.dtype == np.int64
+            goal = set(rng.choice(wide.num_states, size=3, replace=False).tolist())
+            a = _solve_stage(wide, frozenset({0}) - goal, goal)
+            b = _solve_stage(narrow, frozenset({0}) - goal, goal)
+            assert np.array_equal(a.winning, b.winning)
+            assert np.array_equal(a.value, b.value)
+            assert np.array_equal(a.choice, b.choice)
+
     def test_single_stage_equals_plain_solver(self):
         rng = np.random.default_rng(3)
         fts = make_random_fts(rng)
@@ -253,6 +274,10 @@ class TestExport:
         b = export_controller(bicycle_result.controller, bicycle_result.grid)
         assert a == b
 
+    def test_reexport_of_loaded_table_is_identical(self, bicycle_result):
+        text = export_controller(bicycle_result.controller, bicycle_result.grid)
+        assert export_controller(*load_controller(text)) == text
+
     def test_export_to_stream(self, bicycle_result):
         buf = io.StringIO()
         export_controller(bicycle_result.controller, bicycle_result.grid, stream=buf)
@@ -271,3 +296,21 @@ class TestExport:
         bad = "".join(ln for ln in text.splitlines(True) if not ln.startswith("# stages:"))
         with pytest.raises(GridSynthError, match="missing header field 'stages'"):
             load_controller(bad)
+
+
+# sha256 of the exported controller tables of three shipped fixtures: one
+# stage, two stages, and an obstacle clearance.  A change to the abstraction,
+# the solver or the export that alters any table byte turns this red.
+GOLDEN_TABLE_SHA256 = {
+    "case01_warehouse_crate": "b7f428ed6040dbf0e92032a7899e6990771c1a57cf2c7a8b3ae34d4dbcc6feb3",
+    "case04_loading_dock_sequence": "2c9fe536a2fa4a6a6ab11cb990965065fcefb52f93e470f9b0edec883b32b049",
+    "case05_clearance_tank": "c7b228b1a095684aba01b73544b85995227d13594d57f505d9d32f1076b782d0",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(GOLDEN_TABLE_SHA256))
+def test_golden_table_digest(case_id):
+    doc = (fixtures_dir() / case_id / "spec.json").read_text()
+    result = gs.synthesize(gs.canonicalize(gs.parse_spec(doc)))
+    text = export_controller(result.controller, result.grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TABLE_SHA256[case_id]
