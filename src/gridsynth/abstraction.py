@@ -139,6 +139,10 @@ def build_abstraction(
     vectorized batch, so output is deterministic and the buffers merge in
     pair-id order.  Each input's box images come from propagate_box; a pair
     whose image is non-finite is blocked and counted in nonfinite_pairs.
+    For a field that declares invariant_dims, integrate_path evaluates f
+    once per distinct remaining coordinate of the cell centers (once per
+    heading for the bicycle) with every image unchanged to the last bit, so
+    the relation is the same as without the declaration.
     """
     if grid.n != f.dim_state:
         raise GeometryError("grid/state dimension mismatch")

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import gridsynth as gs
+from gridsynth.abstraction import build_abstraction, build_input_grid
+from gridsynth.bench import fixtures_dir
 from gridsynth.dynamics import (
     ALPHA_MAX,
     BICYCLE,
@@ -11,7 +14,8 @@ from gridsynth.dynamics import (
     growth_factor,
     integrate_path,
 )
-from gridsynth.errors import NonFinite
+from gridsynth.errors import GeometryError, NonFinite
+from gridsynth.geometry import HyperRect, UniformGrid
 
 
 class TestBicycleField:
@@ -179,3 +183,133 @@ class TestPropagateBox:
             pts = rng.uniform(center - radius, center + radius, size=(400, 3))
             ends = gs.integrate(BICYCLE, pts, u, 0.3, substeps=100)
             assert np.all(np.abs(ends - c2) <= r2 + 1e-9)
+
+
+# --- declared invariant dimensions ----------------------------------------------
+
+PLAIN_BICYCLE = dataclasses.replace(BICYCLE, invariant_dims=())
+
+
+def case01_spec():
+    doc = (fixtures_dir() / "case01_warehouse_crate" / "spec.json").read_text()
+    return gs.canonicalize(gs.parse_spec(doc))
+
+
+def drift_like(invariant_dims):
+    """A unicycle in a current that depends on position (x, y)."""
+
+    def f(x, u):
+        return np.stack(
+            [
+                u[0] * np.cos(x[..., 2]) + 0.1 * np.sin(x[..., 1]),
+                u[0] * np.sin(x[..., 2]) + 0.1 * np.sin(x[..., 0]),
+                u[1] * np.ones_like(x[..., 2]),
+            ],
+            axis=-1,
+        )
+
+    return gs.VectorField("drift-like", 3, 2, f, invariant_dims=invariant_dims)
+
+
+class TestInvariantDims:
+    def test_declaration_is_sorted(self):
+        assert BICYCLE.invariant_dims == (0, 1)
+        assert drift_like((1, 0)).invariant_dims == (0, 1)
+        assert drift_like(()).invariant_dims == ()
+
+    @pytest.mark.parametrize("dims", [(3,), (-1,), (0, 0), (2, 1, 2)])
+    def test_bad_declaration_raises(self, dims):
+        with pytest.raises(GeometryError, match="drift-like"):
+            drift_like(dims)
+
+    def test_wrong_declaration_is_caught(self):
+        # the current reads x and y, so declaring them invariant is a lie
+        spec = case01_spec()
+        centers = spec.build_grid().all_centers()
+        with pytest.raises(GeometryError, match="drift-like"):
+            integrate_path(drift_like((0, 1)), centers, [1.0, 0.0], spec.tau)
+        with pytest.raises(GeometryError, match="drift-like"):
+            build_abstraction(
+                spec.build_grid(), np.array([[1.0, 0.0]]), drift_like((0, 1)), spec.tau
+            )
+        # the same field without the declaration integrates on the plain path
+        honest = integrate_path(drift_like(()), centers, [1.0, 0.0], spec.tau)
+        assert np.isfinite(honest).all()
+
+    # (0, 1) groups by heading alone, (1,) by (x, heading) pairs
+    @pytest.mark.parametrize("dims", [(0, 1), (1,)])
+    def test_reduced_path_equals_full_path_on_case01_grid(self, dims):
+        spec = case01_spec()
+        centers = spec.build_grid().all_centers()
+        inputs = build_input_grid(spec.input_bounds, spec.eta_u)
+        full_steer = [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+        chosen = np.vstack([inputs[[0, 6, 24, 42, 48]], full_steer])
+        declared = dataclasses.replace(BICYCLE, invariant_dims=dims)
+        for u in chosen:
+            reduced = integrate_path(declared, centers, u, spec.tau)
+            full = integrate_path(PLAIN_BICYCLE, centers, u, spec.tau)
+            assert reduced.shape == (6, 20 * 20 * 31, 3)
+            assert np.array_equal(reduced, full)
+
+    def test_one_eval_row_per_heading(self):
+        spec = case01_spec()
+        centers = spec.build_grid().all_centers()
+        rows = []
+
+        def counting(x, u):
+            rows.append(x.shape[0])
+            return gs.bicycle_f(x, u)
+
+        counted = dataclasses.replace(BICYCLE, eval_fn=counting)
+        integrate_path(counted, centers, [0.9, 0.9], spec.tau)
+        # four stages per substep, plus the declaration check on the first
+        assert rows == [31] * (4 * 5 + 1)
+
+    def test_field_that_reads_no_state(self):
+        # every row forms one group; the shift is still added row by row
+        shift = gs.VectorField(
+            "shift", 1, 1, lambda x, u: np.broadcast_to(u, x.shape), invariant_dims=(0,)
+        )
+        plain = dataclasses.replace(shift, invariant_dims=())
+        x0 = np.linspace(0.0, 1.0, 7)[:, None]
+        path = integrate_path(shift, x0, [0.3], 1.0)
+        assert np.array_equal(path, integrate_path(plain, x0, [0.3], 1.0))
+
+    def test_single_state_matches_batch_row(self):
+        # the closed loop integrates one state at a time on the plain path
+        rng = np.random.default_rng(11)
+        batch = rng.uniform([0, 0, -3], [4, 4, 3], size=(40, 3))
+        batch[20:, 2] = batch[:20, 2]  # every heading appears twice
+        for u in ([1.0, 1.0], [-0.6, 0.3]):
+            together = integrate_path(BICYCLE, batch, u, 0.3)
+            for i in (0, 7, 20, 39):
+                alone = integrate_path(BICYCLE, batch[i], u, 0.3)
+                assert np.array_equal(alone, integrate_path(PLAIN_BICYCLE, batch[i], u, 0.3))
+                assert np.array_equal(alone, together[:, i])
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nonfinite_rate_on_kept_coordinate(self):
+        # x0 is never read; the rate is infinite where x1 > 3, so whole
+        # groups of cells blow up and must be blocked exactly as without
+        # the declaration
+        def f(x, u):
+            return np.stack(
+                [np.where(x[..., 1] > 3.0, np.inf, u[0]) * np.ones_like(x[..., 0]),
+                 u[0] * np.cos(x[..., 1])],
+                axis=-1,
+            )
+
+        declared = gs.VectorField(
+            "inf-upper", 2, 1, f, growth_matrix=np.ones((2, 2)), invariant_dims=(0,)
+        )
+        twin = dataclasses.replace(declared, invariant_dims=())
+        grid = UniformGrid(
+            HyperRect([0.0, 0.0], [6.0, 6.0]), np.array([0.5, 0.5]), [False, False]
+        )
+        inputs = np.array([[-0.5], [0.0], [0.5]])
+        a = build_abstraction(grid, inputs, declared, 0.5)
+        b = build_abstraction(grid, inputs, twin, 0.5)
+        assert 0 < a.nonfinite_pairs == b.nonfinite_pairs < a.blocked.sum() < a.blocked.size
+        assert np.array_equal(a.blocked, b.blocked)
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.succ, b.succ)

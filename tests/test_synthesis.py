@@ -298,13 +298,16 @@ class TestExport:
             load_controller(bad)
 
 
-# sha256 of the exported controller tables of three shipped fixtures: one
-# stage, two stages, and an obstacle clearance.  A change to the abstraction,
-# the solver or the export that alters any table byte turns this red.
+# sha256 of the exported controller tables of four shipped fixtures: one
+# stage, two stages, and an obstacle clearance on the 20x20x31 grid, and the
+# largest fixture (case12, 30x30x31, two stages).  A change to the
+# abstraction, the solver or the export that alters any table byte turns
+# this red.
 GOLDEN_TABLE_SHA256 = {
     "case01_warehouse_crate": "b7f428ed6040dbf0e92032a7899e6990771c1a57cf2c7a8b3ae34d4dbcc6feb3",
     "case04_loading_dock_sequence": "2c9fe536a2fa4a6a6ab11cb990965065fcefb52f93e470f9b0edec883b32b049",
     "case05_clearance_tank": "c7b228b1a095684aba01b73544b85995227d13594d57f505d9d32f1076b782d0",
+    "case12_figure_eight": "c489bf4760d80db9fa19c9cb4db1a47087ff1c3223427b6858c4af57f1aa3132",
 }
 
 
