@@ -78,7 +78,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _parse_x0(text: str, n: int) -> np.ndarray:
+    try:
+        x0 = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise UsageError(f"--x0 must be comma-separated numbers: {text!r}") from None
+    if not np.all(np.isfinite(x0)):
+        raise UsageError(f"--x0 must be finite: {text!r}")
+    if x0.size != n:
+        raise UsageError(f"--x0 needs {n} components, got {x0.size}: {text!r}")
+    return x0
+
+
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise UsageError(f"--steps must be non-negative, got {args.steps}")
     spec = _read_spec(args.spec)
     ctrl_path = Path(args.controller)
     if not ctrl_path.is_file():
@@ -87,7 +101,7 @@ def cmd_simulate(args) -> int:
     field = get_field(spec.system_name)
 
     if args.x0:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
+        x0 = _parse_x0(args.x0, grid.n)
     elif spec.initial_point is not None:
         x0 = np.array(spec.initial_point, dtype=float)
         if x0.size < grid.n:

@@ -30,6 +30,8 @@ class VectorField:
     eval_fn must broadcast: x may be a single state (n,) or a batch (N, n);
     u is a single input (m,).  growth_matrix is a componentwise bound on
     |df_i/dx_j| over the whole operating domain, used for box propagation.
+    build_abstraction may call eval_fn from several threads at once, so it
+    must be a pure function of (x, u) that mutates no shared state.
 
     invariant_dims lists the state components eval_fn never reads: f(x, u)
     is the same for any two states that agree on the other components.  It

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gridsynth as gs
+from gridsynth.bench import fixtures_dir
 from gridsynth.pipeline import synthesize
 
 PI = math.pi
@@ -42,6 +43,11 @@ def bicycle_spec():
 def bicycle_result(bicycle_spec):
     """Full abstraction + synthesis on the desk-scale fixture (built once)."""
     return synthesize(bicycle_spec)
+
+
+def case01_spec():
+    doc = (fixtures_dir() / "case01_warehouse_crate" / "spec.json").read_text()
+    return gs.canonicalize(gs.parse_spec(doc))
 
 
 def fenced(text):

@@ -1,10 +1,12 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import gridsynth as gs
+from gridsynth import abstraction
 from gridsynth.abstraction import (
     FiniteTransitionSystem,
     _index_dtype,
@@ -15,7 +17,7 @@ from gridsynth.abstraction import (
 from gridsynth.errors import EmptyInputSet, EmptyTarget
 from gridsynth.geometry import HyperRect, UniformGrid
 
-from conftest import make_random_fts
+from conftest import case01_spec, make_random_fts
 
 
 def pairs(fts, state, inp):
@@ -50,6 +52,13 @@ def integrator_field():
         "shift", 1, 1,
         lambda x, u: np.broadcast_to(u, x.shape),
         growth_matrix=np.zeros((1, 1)),
+    )
+
+
+def inf_right_field():
+    """At rest left of x = 5, infinite speed right of it."""
+    return gs.VectorField(
+        "inf-right", 1, 1, lambda x, u: np.where(x > 5.0, np.inf, 0.0)
     )
 
 
@@ -99,13 +108,10 @@ class TestBuildAbstraction:
         assert pairs(fts, 5, 0) >= {4, 5, 6}
 
     def test_nonfinite_pairs_blocked_and_counted(self):
-        # at rest left of x = 5, infinite speed right of it: exactly the
-        # pairs of cells 5..9 are non-finite, and those alone are blocked
-        field = gs.VectorField(
-            "inf-right", 1, 1, lambda x, u: np.where(x > 5.0, np.inf, 0.0)
-        )
+        # exactly the pairs of cells 5..9 are non-finite, and those alone
+        # are blocked
         grid = UniformGrid(HyperRect([0.0], [10.0]), np.array([1.0]), [False])
-        fts = build_abstraction(grid, np.array([[-1.0], [1.0]]), field, 1.0)
+        fts = build_abstraction(grid, np.array([[-1.0], [1.0]]), inf_right_field(), 1.0)
         assert np.array_equal(fts.blocked, np.tile(np.arange(10) >= 5, 2))
         assert fts.nonfinite_pairs == 10
         assert pairs(fts, 7, 1) == set()
@@ -274,3 +280,55 @@ class TestIndexPaths:
         assert _index_dtype(2**31 - 1) is np.int32
         assert _index_dtype(2**31) is np.int64
         assert _index_dtype(50_000 * 50_000) is np.int64
+
+
+def pool_case(name):
+    """(grid, inputs, field, tau) of a build that exercises one index path."""
+    if name == "periodic-wrap":
+        return WRAP_GRID, WRAP_INPUTS, shift_field([1.5, 0.5, 0.5]), 1.0
+    if name == "invariant-dims":
+        spec = case01_spec()
+        inputs = build_input_grid(spec.input_bounds, spec.eta_u)
+        return spec.build_grid(), inputs, gs.BICYCLE, spec.tau
+    grid = UniformGrid(HyperRect([0.0], [10.0]), np.array([1.0]), [False])
+    return grid, np.array([[-1.0], [0.0], [1.0]]), inf_right_field(), 1.0
+
+
+class TestPool:
+    @pytest.mark.parametrize("name", ["periodic-wrap", "invariant-dims", "non-finite"])
+    def test_same_relation_for_any_pool_size(self, name, monkeypatch):
+        case = pool_case(name)
+        built = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(abstraction, "_cpu_count", lambda: cpus)
+            built.append(build_abstraction(*case))
+        first = built[0]
+        assert (first.nonfinite_pairs > 0) == (name == "non-finite")
+        for fts in built[1:]:
+            assert np.array_equal(fts.indptr, first.indptr)
+            assert np.array_equal(fts.succ, first.succ)
+            assert np.array_equal(fts.blocked, first.blocked)
+            assert fts.nonfinite_pairs == first.nonfinite_pairs
+            for got, want in zip(fts.reverse(), first.reverse()):
+                assert np.array_equal(got, want)
+
+    def test_fields_are_evaluated_on_several_threads(self, monkeypatch):
+        monkeypatch.setattr(abstraction, "_cpu_count", lambda: 2)
+        seen = set()
+        first_call = threading.Lock()  # taken by the first call, never released
+        second = threading.Event()
+
+        def f(x, u):
+            seen.add(threading.get_ident())
+            if len(seen) > 1:
+                second.set()
+            # the first call waits for a second thread, so one thread cannot
+            # take both inputs before the pool starts another
+            if first_call.acquire(blocking=False):
+                second.wait(timeout=10)
+            return np.broadcast_to(u, x.shape)
+
+        field = gs.VectorField("recording", 1, 1, f)
+        grid = UniformGrid(HyperRect([0.0], [10.0]), np.array([1.0]), [False])
+        build_abstraction(grid, np.array([[-1.0], [1.0]]), field, 1.0)
+        assert len(seen) >= 2

@@ -32,6 +32,17 @@ def controller_file(tmp_path_factory, spec_file):
     return out
 
 
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(gs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "gridsynth.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestSynth:
     def test_success_and_determinism(self, tmp_path, spec_file, capsys):
         a = tmp_path / "a.txt"
@@ -92,21 +103,25 @@ class TestSimulate:
     def test_malformed_table_is_an_error_not_a_traceback(
         self, tmp_path, spec_file, controller_file
     ):
-        src = str(Path(gs.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         for case in sorted(MALFORMED_TABLE_EDITS):
             lineno, bad = malformed_table(controller_file.read_text(), case)
             table = tmp_path / f"{case}.txt"
             table.write_text(bad)
-            proc = subprocess.run(
-                [sys.executable, "-m", "gridsynth.cli", "simulate",
-                 str(spec_file), str(table)],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+            proc = run_cli("simulate", str(spec_file), str(table))
             assert proc.returncode == 1, (case, proc.stderr)
             assert f"error: controller line {lineno}: " in proc.stderr, case
             assert "Traceback" not in proc.stderr, case
+
+    def test_bad_x0_or_steps_is_a_usage_error_not_a_traceback(
+        self, spec_file, controller_file
+    ):
+        for flags in (["--x0", "a,b,c"], ["--x0", "1,2"], ["--x0", "1,2,3,4"],
+                      ["--x0", "nan,0.5,0"], ["--x0", "0.5,inf,0"],
+                      ["--steps", "-3"]):
+            proc = run_cli("simulate", str(spec_file), str(controller_file), *flags)
+            assert proc.returncode == 2, (flags, proc.stderr)
+            assert "usage error: " in proc.stderr, flags
+            assert "Traceback" not in proc.stderr, flags
 
     def test_determinism(self, tmp_path, spec_file, controller_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,7 +6,6 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.abstraction import build_abstraction, build_input_grid
-from gridsynth.bench import fixtures_dir
 from gridsynth.dynamics import (
     ALPHA_MAX,
     BICYCLE,
@@ -16,6 +15,8 @@ from gridsynth.dynamics import (
 )
 from gridsynth.errors import GeometryError, NonFinite
 from gridsynth.geometry import HyperRect, UniformGrid
+
+from conftest import case01_spec
 
 
 class TestBicycleField:
@@ -190,11 +191,6 @@ class TestPropagateBox:
 PLAIN_BICYCLE = dataclasses.replace(BICYCLE, invariant_dims=())
 
 
-def case01_spec():
-    doc = (fixtures_dir() / "case01_warehouse_crate" / "spec.json").read_text()
-    return gs.canonicalize(gs.parse_spec(doc))
-
-
 def drift_like(invariant_dims):
     """A unicycle in a current that depends on position (x, y)."""
 
@@ -222,15 +218,21 @@ class TestInvariantDims:
         with pytest.raises(GeometryError, match="drift-like"):
             drift_like(dims)
 
-    def test_wrong_declaration_is_caught(self):
-        # the current reads x and y, so declaring them invariant is a lie
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_wrong_declaration_is_caught(self, cpus, monkeypatch):
+        # the current reads x and y, so declaring them invariant is a lie;
+        # with two inputs and two CPUs the error comes from a pool thread
+        monkeypatch.setattr("gridsynth.abstraction._cpu_count", lambda: cpus)
         spec = case01_spec()
         centers = spec.build_grid().all_centers()
         with pytest.raises(GeometryError, match="drift-like"):
             integrate_path(drift_like((0, 1)), centers, [1.0, 0.0], spec.tau)
         with pytest.raises(GeometryError, match="drift-like"):
             build_abstraction(
-                spec.build_grid(), np.array([[1.0, 0.0]]), drift_like((0, 1)), spec.tau
+                spec.build_grid(),
+                np.array([[1.0, 0.0], [0.5, 0.0]]),
+                drift_like((0, 1)),
+                spec.tau,
             )
         # the same field without the declaration integrates on the plain path
         honest = integrate_path(drift_like(()), centers, [1.0, 0.0], spec.tau)

@@ -1,0 +1,37 @@
+#!/bin/sh
+# Write the program's deterministic outputs into the directory OUT:
+#   <case>.txt        the controller table of each of the 20 shipped fixtures
+#   <case>.csv        a closed loop from the fixture's initial state
+#   exit_codes.txt    the exit code of each synth and simulate command
+#   case06.svg        case06's scene with its winning set
+#   demo03.txt        the harness demo's report, without its first line
+#                     (that line names the checkout's fixture directory)
+#
+# A change that should keep behaviour is checked by running this script in
+# two checkouts and comparing the directories with `diff -r`.
+#
+#   tools/refactor_outputs.sh OUT
+set -u
+if [ $# -ne 1 ]; then
+  echo "usage: $0 OUT" >&2
+  exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+cd "$root" || exit 2
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+
+: > "$out/exit_codes.txt"
+for d in src/gridsynth/fixtures/cases/*/; do
+  c=$(basename "$d")
+  python3 -m gridsynth.cli synth "$d/spec.json" -o "$out/$c.txt"
+  synth=$?
+  python3 -m gridsynth.cli simulate "$d/spec.json" "$out/$c.txt" -o "$out/$c.csv"
+  echo "$c synth $synth simulate $?" >> "$out/exit_codes.txt"
+done
+python3 -m gridsynth.cli synth src/gridsynth/fixtures/cases/case06_city_block/spec.json \
+  -o "$out/case06_svg.txt" --svg "$out/case06.svg" || exit 1
+python3 demos/03_benchmark.py > "$out/demo03.full" || exit 1
+tail -n +2 "$out/demo03.full" > "$out/demo03.txt"
+rm "$out/demo03.full"
