@@ -37,7 +37,7 @@ spec_doc = {
     "clearance": 0.0,
 }
 
-spec = gs.canonicalize(gs.parse_spec(json.dumps(spec_doc)))
+spec = gs.parse_spec(json.dumps(spec_doc))
 
 # ---------------------------------------------------------------------------
 # Abstraction + game solving in one call.  The heading axis is periodic and

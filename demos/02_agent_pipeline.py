@@ -61,6 +61,6 @@ for i, it in enumerate(transcript.iterations, start=1):
         print(f"  feedback: {it.verdict.feedback}")
 
 assert isinstance(transcript.outcome, AcceptedSpec)
-spec = gs.canonicalize(transcript.outcome.spec)
+spec = transcript.outcome.spec
 print(f"\naccepted spec: {len(spec.obstacle_rects)} obstacle(s), "
       f"{len(spec.target_rects)} target(s), tau = {spec.tau}")

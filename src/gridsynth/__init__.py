@@ -63,7 +63,6 @@ from .simulator import (
 from .specformat import (
     MismatchReport,
     ProblemSpec,
-    canonicalize,
     parse_spec,
     semantic_diff,
     serialize_spec,

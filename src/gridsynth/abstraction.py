@@ -149,7 +149,6 @@ def build_abstraction(
     inputs: np.ndarray,
     f: VectorField,
     tau: float,
-    substeps: int = 5,
 ) -> FiniteTransitionSystem:
     """Construct the transition relation for every (cell, input) pair.
 
@@ -186,7 +185,7 @@ def build_abstraction(
 
     def expand(u_vec):
         """One input block: (successors, counts, blocked, non-finite pairs)."""
-        endc, new_radius = propagate_box(f, centers, grid.eta / 2.0, u_vec, tau, substeps)
+        endc, new_radius = propagate_box(f, centers, grid.eta / 2.0, u_vec, tau)
         finite = np.all(np.isfinite(endc), axis=1)
         nonfinite = int(np.sum(~finite))
         endc = np.where(finite[:, None], endc, 0.0)
@@ -305,7 +304,7 @@ def _point_cells(grid: UniformGrid, point: np.ndarray):
 
 
 def label_cells(grid: UniformGrid, spec) -> LabeledCells:
-    """Mark obstacle, target, and initial cells of a canonicalized ProblemSpec.
+    """Mark obstacle, target, and initial cells of a ProblemSpec.
 
     Obstacles (clearance-inflated) are marked by closed intersection,
     conservative outward; targets by full-cell containment, conservative

@@ -89,8 +89,8 @@ class MockClient:
         self._cursor = 0
 
     @classmethod
-    def from_script(cls, path):
-        text = open(path, encoding="utf-8").read()
+    def from_script_text(cls, text):
+        """Client replaying the responses of a mock script (see write_script)."""
         parts = [p.strip("\n") for p in text.split(SCRIPT_SEPARATOR + "\n")]
         # trailing separator leaves an empty tail
         if parts and parts[-1].strip() == "":

@@ -22,7 +22,7 @@ from .agents import (
 )
 from .errors import ClientError, GridSynthError
 from .simulator import Trajectory, check_reach_avoid
-from .specformat import canonicalize, parse_spec, semantic_diff
+from .specformat import parse_spec, semantic_diff
 
 DIRECT_LLM = "direct_llm"
 CODE_AGENT_ONLY = "code_agent_only"
@@ -47,7 +47,7 @@ PARAPHRASES_PER_CASE = 3
 @dataclass(frozen=True)
 class BenchCase:
     id: str
-    ground_truth: object  # canonical ProblemSpec
+    ground_truth: object  # ProblemSpec
     paraphrases: tuple  # exactly 3 NL strings
 
     def __post_init__(self):
@@ -62,14 +62,21 @@ def fixtures_dir() -> Path:
     return Path(resources.files("gridsynth") / "fixtures" / "cases")
 
 
+def _read_case_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridSynthError(f"cannot read case file {path}: {exc}") from None
+
+
 def load_cases(cases_dir) -> list:
     """Load cases/<id>/spec.json + paraphrase_{1,2,3}.txt, sorted by id."""
     cases_dir = Path(cases_dir)
     cases = []
     for case_dir in sorted(p for p in cases_dir.iterdir() if p.is_dir()):
-        spec = canonicalize(parse_spec((case_dir / "spec.json").read_text()))
+        spec = parse_spec(_read_case_file(case_dir / "spec.json"))
         paraphrases = tuple(
-            (case_dir / f"paraphrase_{i}.txt").read_text().strip()
+            _read_case_file(case_dir / f"paraphrase_{i}.txt").strip()
             for i in (1, 2, 3)
         )
         cases.append(BenchCase(id=case_dir.name, ground_truth=spec, paraphrases=paraphrases))
@@ -108,7 +115,7 @@ def run_paraphrase(strategy: str, client, nl: str, k_max: int = 2):
 
 def _spec_correct(ground_truth, spec, tol=1e-6) -> bool:
     try:
-        return semantic_diff(ground_truth, canonicalize(spec), tol=tol).ok
+        return semantic_diff(ground_truth, spec, tol=tol).ok
     except GridSynthError:
         return False
 

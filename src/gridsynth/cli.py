@@ -33,7 +33,7 @@ from .simulator import (
     trajectory_to_csv,
     winning_columns,
 )
-from .specformat import canonicalize, parse_spec, serialize_spec
+from .specformat import parse_spec, serialize_spec
 from .synthesis import export_controller, load_controller, ConcreteController
 
 EXIT_OK = 0
@@ -42,19 +42,22 @@ EXIT_USAGE = 2
 EXIT_SERVICE = 3
 
 
-def _read_spec(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"spec file not found: {path}")
-    return canonicalize(parse_spec(p.read_text(encoding="utf-8")))
-
-
 class UsageError(Exception):
     pass
 
 
+def _read_text(path: str, what: str) -> str:
+    """Contents of a UTF-8 text file; UsageError naming the path otherwise."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+
+
 def cmd_synth(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = parse_spec(_read_text(args.spec, "spec file"))
     result = synthesize(spec)
     Path(args.output).write_text(
         export_controller(result.controller, result.grid), encoding="utf-8"
@@ -93,23 +96,16 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
 def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise UsageError(f"--steps must be non-negative, got {args.steps}")
-    spec = _read_spec(args.spec)
-    ctrl_path = Path(args.controller)
-    if not ctrl_path.is_file():
-        raise UsageError(f"controller file not found: {args.controller}")
-    controller, grid = load_controller(ctrl_path.read_text(encoding="utf-8"))
+    spec = parse_spec(_read_text(args.spec, "spec file"))
+    controller, grid = load_controller(_read_text(args.controller, "controller file"))
     field = get_field(spec.system_name)
 
     if args.x0:
         x0 = _parse_x0(args.x0, grid.n)
-    elif spec.initial_point is not None:
-        x0 = np.array(spec.initial_point, dtype=float)
-        if x0.size < grid.n:
-            x0 = np.concatenate([x0, grid.bounds.center[x0.size :]])
     else:
-        x0 = spec.initial_rect.center
-        if x0.size < grid.n:
-            x0 = np.concatenate([x0, grid.bounds.center[x0.size :]])
+        # a position-only start takes the grid's center on the other dimensions
+        start = spec.initial_point if spec.initial_point is not None else spec.initial_rect.center
+        x0 = np.concatenate([start, grid.bounds.center[len(start) :]])
 
     traj = simulate_closed_loop(
         field, ConcreteController(controller, grid), x0, spec.tau, args.steps
@@ -132,9 +128,7 @@ def cmd_simulate(args) -> int:
 
 def _make_client(args):
     if args.mock:
-        if not Path(args.mock).is_file():
-            raise UsageError(f"mock script not found: {args.mock}")
-        return MockClient.from_script(args.mock)
+        return MockClient.from_script_text(_read_text(args.mock, "mock script"))
     if args.base_url and args.model:
         try:
             return HttpClient(base_url=args.base_url, model=args.model)
@@ -147,10 +141,7 @@ def cmd_nl2spec(args) -> int:
     if args.nl == "-":
         nl = sys.stdin.read()
     else:
-        p = Path(args.nl)
-        if not p.is_file():
-            raise UsageError(f"NL file not found: {args.nl}")
-        nl = p.read_text(encoding="utf-8")
+        nl = _read_text(args.nl, "NL file")
     client = _make_client(args)
     transcript = pipeline_run(client, nl.strip(), k_max=args.k_max)
     outcome = transcript.outcome

@@ -22,6 +22,10 @@ from scipy.linalg import expm
 
 from .errors import GeometryError, NonFinite
 
+# RK4 substeps per sampling period, shared by the abstraction and the closed
+# loop so both certify the same integrator.
+SUBSTEPS = 5
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -155,7 +159,7 @@ def _group_rows(cols):
     return first, last, group
 
 
-def integrate_path(f, x0, u, tau, substeps=5):
+def integrate_path(f, x0, u, tau, substeps=SUBSTEPS):
     """Fixed-step classic RK4 over [0, tau] with zero-order-hold input u.
 
     x0 may be a single state (n,) or an (N, n) batch.  Returns every substep
@@ -204,7 +208,7 @@ def integrate_path(f, x0, u, tau, substeps=5):
     return path
 
 
-def integrate(f, x0, u, tau, substeps=5):
+def integrate(f, x0, u, tau, substeps=SUBSTEPS):
     """RK4 endpoint of integrate_path; raises NonFinite if it blew up."""
     x = integrate_path(f, x0, u, tau, substeps)[-1]
     if not np.all(np.isfinite(x)):
@@ -217,7 +221,7 @@ def growth_factor(vf: VectorField, tau: float) -> np.ndarray:
     return expm(vf.growth_matrix * tau)
 
 
-def propagate_box(vf: VectorField, center, radius, u, tau, substeps=5):
+def propagate_box(vf: VectorField, center, radius, u, tau, substeps=SUBSTEPS):
     """Sound image of the box center +- radius under the sampled flow.
 
     center may be a single state (n,) or an (N, n) batch of centers sharing

@@ -89,11 +89,6 @@ class HyperRect:
             raise GeometryError("inflation margin must be non-negative")
         return HyperRect(self.lower - m, self.upper + m)
 
-    def clip_to(self, other: "HyperRect"):
-        return HyperRect(
-            np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper)
-        )
-
     def extend(self, tail: "HyperRect"):
         """Append further dimensions taken from tail (e.g. full orientation range)."""
         return HyperRect(

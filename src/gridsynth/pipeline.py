@@ -7,15 +7,13 @@ from dataclasses import dataclass
 
 from .abstraction import build_abstraction, build_input_grid, label_cells
 from .dynamics import get_field
-from .specformat import ProblemSpec, canonicalize
+from .specformat import ProblemSpec
 from .synthesis import ConcreteController, solve_sequential
-
-DEFAULT_SUBSTEPS = 5
 
 
 @dataclass
 class SynthesisResult:
-    spec: ProblemSpec  # canonical
+    spec: ProblemSpec
     grid: object
     inputs: object
     fts: object
@@ -38,16 +36,14 @@ class SynthesisResult:
         return ConcreteController(self.controller, self.grid)
 
 
-def synthesize(spec: ProblemSpec, substeps: int = DEFAULT_SUBSTEPS) -> SynthesisResult:
+def synthesize(spec: ProblemSpec) -> SynthesisResult:
     """Abstract the system, label the spec geometry, and solve the game."""
-    if not spec.canonical:
-        spec = canonicalize(spec)
     field = get_field(spec.system_name)
     grid = spec.build_grid()
     inputs = build_input_grid(spec.input_bounds, spec.eta_u)
 
     t0 = time.perf_counter()
-    fts = build_abstraction(grid, inputs, field, spec.tau, substeps=substeps)
+    fts = build_abstraction(grid, inputs, field, spec.tau)
     t1 = time.perf_counter()
     labels = label_cells(grid, spec)
     controller = solve_sequential(fts, labels)

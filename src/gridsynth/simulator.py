@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VectorField, integrate_path
-from .errors import NonFinite, OutsideWinningSet, UnsupportedDimension
+from .dynamics import SUBSTEPS, VectorField, integrate_path
+from .errors import NonFinite, OutsideWinningSet, SchemaError, UnsupportedDimension
 from .geometry import HyperRect
 from .specformat import ProblemSpec
 from .synthesis import ConcreteController
@@ -53,7 +53,6 @@ def simulate_closed_loop(
     x0,
     tau: float,
     max_steps: int,
-    substeps: int = 5,
 ) -> Trajectory:
     """Run the concretized controller from x0 until target entry or failure.
 
@@ -61,15 +60,19 @@ def simulate_closed_loop(
     it reports the task done, LeftWinningSet when it refuses the state, and
     StepLimit after max_steps steps (a refused last sample is still a
     StepLimit).  Each step integrates with RK4, wraps the endpoint's periodic
-    coordinates, and raises NonFinite if the endpoint blew up.
+    coordinates, and raises NonFinite if the endpoint blew up.  A controller
+    whose grid or inputs have other dimensions than f raises SchemaError.
     """
-    grid = ctrl.grid
+    grid, m = ctrl.grid, ctrl.controller.input_dim
+    if (grid.n, m) != (f.dim_state, f.dim_input):
+        raise SchemaError(f"controller has state dimension {grid.n} and input dimension {m}; "
+                          f"field '{f.name}' has {f.dim_state} and {f.dim_input}")
     x = grid.wrap(np.asarray(x0, dtype=float))
     t = 0.0
     samples = [(0.0, x.copy(), None)]
     fine_times = [0.0]
     fine_states = [x.copy()]
-    h = tau / substeps
+    h = tau / SUBSTEPS
     kind = "StepLimit"
 
     for step in range(max_steps + 1):
@@ -84,11 +87,11 @@ def simulate_closed_loop(
             break
         if step == max_steps:
             break
-        path = integrate_path(f, x, u, tau, substeps=substeps)
+        path = integrate_path(f, x, u, tau)
         if not np.all(np.isfinite(path[-1])):
             raise NonFinite("integration produced non-finite state")
         path[-1] = grid.wrap(path[-1])
-        for k in range(1, substeps + 1):
+        for k in range(1, SUBSTEPS + 1):
             fine_times.append(t + k * h)
             fine_states.append(path[k])
         x = path[-1]
@@ -119,10 +122,6 @@ def check_reach_avoid(traj: Trajectory, spec: ProblemSpec) -> ReachAvoidVerdict:
     time.  Checked at the trajectory's fine (substep) resolution; clearance
     is a synthesis-side constraint and is deliberately not re-checked here.
     """
-    if not spec.canonical:
-        from .specformat import canonicalize
-
-        spec = canonicalize(spec)
     times = traj.fine_times
     states = traj.fine_states
     if states.ndim != 2 or states.shape[0] == 0:
@@ -211,10 +210,6 @@ def render_svg(spec: ProblemSpec, traj: Trajectory = None, winning_rects=None) -
     """
     if spec.state_bounds.dim < 2:
         raise UnsupportedDimension("rendering needs at least 2 state dimensions")
-    if not spec.canonical:
-        from .specformat import canonicalize
-
-        spec = canonicalize(spec)
     lo = spec.state_bounds.lower[:2]
     hi = spec.state_bounds.upper[:2]
 

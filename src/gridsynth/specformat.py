@@ -15,12 +15,16 @@ Rectangles are tagged unions:
     {"kind": "center_sides", "center": [...], "sides": [...]}
 
 initial is {"point": [...]} or {"rect": <tagged rectangle>}.
+
+Every number must be finite.  A ProblemSpec checks and resolves its geometry
+when it is built, by parse_spec or by dataclasses.replace alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -59,10 +63,13 @@ RECT_KEYS = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Canonical reach-avoid problem description.
+    """Reach-avoid problem description.
 
-    obstacles/targets hold the original encodings as written; the *_rects
-    fields are filled by canonicalize().
+    obstacles/targets hold the original encodings as written.  Construction
+    checks them against the state bounds and the grid (GeometryError) and
+    derives the *_rects fields: obstacles sorted, their copies inflated by
+    the clearance (inf-norm Minkowski sum, clipped to bounds), targets in
+    visit order.
     """
 
     system_name: str
@@ -77,10 +84,44 @@ class ProblemSpec:
     initial_point: np.ndarray = None  # exactly one of point / rect is set
     initial_rect: HyperRect = None
     clearance: float = 0.0
-    canonical: bool = False
-    obstacle_rects: tuple = field(default=())
-    inflated_obstacle_rects: tuple = field(default=())
-    target_rects: tuple = field(default=())
+    obstacle_rects: tuple = field(init=False)
+    inflated_obstacle_rects: tuple = field(init=False)
+    target_rects: tuple = field(init=False)
+
+    def __post_init__(self):
+        bounds = self.state_bounds
+        obstacles = [
+            _check_rect_in_bounds(rect_from_encoding(e), bounds, f"obstacle {i}")
+            for i, e in enumerate(self.obstacles)
+        ]
+        targets = tuple(
+            _check_rect_in_bounds(rect_from_encoding(e), bounds, f"target {i}")
+            for i, e in enumerate(self.targets)
+        )
+        if self.initial_point is not None:
+            d = len(self.initial_point)
+            box = HyperRect(bounds.lower[:d], bounds.upper[:d])
+            if not box.contains(self.initial_point, tol=1e-9):
+                raise GeometryError("initial point outside state bounds")
+        else:
+            _check_rect_in_bounds(self.initial_rect, bounds, "initial set")
+        if not self.clearance >= 0:
+            raise GeometryError("clearance must be non-negative")
+        # grid consistency (divisibility; periodic eta is snapped, not rejected)
+        self.build_grid()
+
+        obstacles.sort(key=lambda r: (tuple(r.lower), tuple(r.upper)))
+        c = self.clearance
+        inflated = tuple(
+            HyperRect(
+                np.maximum(r.lower - c, bounds.lower[: r.dim]),
+                np.minimum(r.upper + c, bounds.upper[: r.dim]),
+            )
+            for r in obstacles
+        )
+        object.__setattr__(self, "obstacle_rects", tuple(obstacles))
+        object.__setattr__(self, "inflated_obstacle_rects", inflated)
+        object.__setattr__(self, "target_rects", targets)
 
     def build_grid(self) -> UniformGrid:
         """State grid with eta snapped to an exact divisor on periodic dimensions."""
@@ -93,13 +134,17 @@ def _expect(cond, message, path):
         raise SchemaError(message, path)
 
 
+def _finite_number(v):
+    """False for bools, NaN, +-Infinity and ints beyond float range (json accepts them)."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _num_list(value, path, length=None):
     _expect(isinstance(value, list), "expected a list of numbers", path)
-    _expect(
-        all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value),
-        "expected numeric entries",
-        path,
-    )
+    _expect(all(map(_finite_number, value)), "expected finite numbers", path)
     if length is not None:
         _expect(len(value) == length, f"expected {length} entries", path)
     return [float(v) for v in value]
@@ -140,16 +185,13 @@ def _parse_rect_encoding(obj, path):
     return CenterAndSides(tuple(center), tuple(sides))
 
 
-def _position_box(spec_bounds: HyperRect, dim: int) -> HyperRect:
-    return HyperRect(spec_bounds.lower[:dim], spec_bounds.upper[:dim])
-
-
-def _check_rect_in_bounds(rect: HyperRect, bounds: HyperRect, what: str):
+def _check_rect_in_bounds(rect: HyperRect, bounds: HyperRect, what: str) -> HyperRect:
     if rect.dim > bounds.dim:
         raise GeometryError(f"{what}: dimension {rect.dim} exceeds state dimension")
-    box = _position_box(bounds, rect.dim)
-    if np.any(rect.lower < box.lower - 1e-9) or np.any(rect.upper > box.upper + 1e-9):
+    lo, hi = bounds.lower[: rect.dim], bounds.upper[: rect.dim]
+    if (rect.lower < lo - 1e-9).any() or (rect.upper > hi + 1e-9).any():
         raise GeometryError(f"{what}: outside state bounds")
+    return rect
 
 
 def parse_spec(text: str) -> ProblemSpec:
@@ -182,16 +224,14 @@ def parse_spec(text: str) -> ProblemSpec:
     _expect(all(v > 0 for v in eta_u), "eta_u must be positive", "$.eta_u")
     tau = doc["tau"]
     _expect(
-        isinstance(tau, (int, float)) and not isinstance(tau, bool) and tau > 0,
-        "tau must be a positive number",
+        _finite_number(tau) and tau > 0,
+        "tau must be a positive finite number",
         "$.tau",
     )
     clearance = doc["clearance"]
     _expect(
-        isinstance(clearance, (int, float))
-        and not isinstance(clearance, bool)
-        and clearance >= 0,
-        "clearance must be non-negative",
+        _finite_number(clearance) and clearance >= 0,
+        "clearance must be a non-negative finite number",
         "$.clearance",
     )
 
@@ -227,7 +267,7 @@ def parse_spec(text: str) -> ProblemSpec:
             _parse_rect_encoding(initial["rect"], "$.initial.rect")
         )
 
-    spec = ProblemSpec(
+    return ProblemSpec(
         system_name=doc["system"],
         state_bounds=state_bounds,
         periodic=tuple(periodic),
@@ -241,46 +281,14 @@ def parse_spec(text: str) -> ProblemSpec:
         initial_rect=initial_rect,
         clearance=float(clearance),
     )
-    _validate_geometry(spec)
-    return spec
-
-
-def _validate_geometry(spec: ProblemSpec):
-    for i, enc in enumerate(spec.obstacles):
-        _check_rect_in_bounds(rect_from_encoding(enc), spec.state_bounds, f"obstacle {i}")
-    for i, enc in enumerate(spec.targets):
-        _check_rect_in_bounds(rect_from_encoding(enc), spec.state_bounds, f"target {i}")
-    if spec.initial_point is not None:
-        box = _position_box(spec.state_bounds, len(spec.initial_point))
-        if not box.contains(spec.initial_point, tol=1e-9):
-            raise GeometryError("initial point outside state bounds")
-    else:
-        _check_rect_in_bounds(spec.initial_rect, spec.state_bounds, "initial set")
-    # grid consistency (divisibility; periodic eta is snapped, not rejected)
-    spec.build_grid()
 
 
 def canonicalize(spec: ProblemSpec) -> ProblemSpec:
-    """Resolve all encodings, sort obstacles, and fold clearance into
-    inflated obstacle copies (inf-norm Minkowski sum, clipped to bounds)."""
-    obstacle_rects = sorted(
-        (rect_from_encoding(e) for e in spec.obstacles),
-        key=lambda r: (tuple(r.lower), tuple(r.upper)),
-    )
-    pos_box = _position_box(
-        spec.state_bounds, obstacle_rects[0].dim if obstacle_rects else 2
-    )
-    inflated = tuple(
-        r.inflate(spec.clearance).clip_to(pos_box) for r in obstacle_rects
-    )
-    target_rects = tuple(rect_from_encoding(e) for e in spec.targets)
-    return replace(
-        spec,
-        canonical=True,
-        obstacle_rects=tuple(obstacle_rects),
-        inflated_obstacle_rects=inflated,
-        target_rects=target_rects,
-    )
+    """Return spec unchanged: every ProblemSpec is resolved when it is built.
+
+    Kept only because the benchmark in perfbench/ still imports it.
+    """
+    return spec
 
 
 # --- serialization ----------------------------------------------------------------
@@ -370,7 +378,7 @@ def _rect_str(r: HyperRect) -> str:
 def semantic_diff(
     reference: ProblemSpec, candidate: ProblemSpec, tol: float = 1e-6
 ) -> MismatchReport:
-    """Componentwise geometric comparison of two canonicalized specs.
+    """Componentwise geometric comparison of two specs.
 
     Obstacles are matched by nearest-pair assignment; target order is
     compared exactly because visit order is part of the semantics.
@@ -379,8 +387,6 @@ def semantic_diff(
         raise DimensionMismatch(
             f"state dims {reference.state_bounds.dim} vs {candidate.state_bounds.dim}"
         )
-    if not reference.canonical or not candidate.canonical:
-        raise GeometryError("semantic_diff requires canonicalized specs")
     entries = []
 
     def add(category, detail, expected=None, actual=None):
@@ -473,7 +479,7 @@ def semantic_diff(
                         ct[i],
                     )
 
-    # obstacles: nearest-pair assignment on canonical rects
+    # obstacles: nearest-pair assignment on the sorted rects
     ro, co = reference.obstacle_rects, candidate.obstacle_rects
     if ro and co:
         cost = np.array([[_rect_distance(a, b) for b in co] for a in ro])

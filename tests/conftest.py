@@ -36,7 +36,7 @@ def bicycle_spec_text(**overrides):
 
 @pytest.fixture(scope="session")
 def bicycle_spec():
-    return gs.canonicalize(gs.parse_spec(bicycle_spec_text()))
+    return gs.parse_spec(bicycle_spec_text())
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,7 @@ def bicycle_result(bicycle_spec):
 
 def case01_spec():
     doc = (fixtures_dir() / "case01_warehouse_crate" / "spec.json").read_text()
-    return gs.canonicalize(gs.parse_spec(doc))
+    return gs.parse_spec(doc)
 
 
 def fenced(text):

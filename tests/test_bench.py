@@ -37,7 +37,7 @@ class TestFixtures:
 
     def test_ground_truths_canonical_and_distinct(self, cases):
         for c in cases:
-            assert c.ground_truth.canonical
+            assert len(c.ground_truth.target_rects) == len(c.ground_truth.targets)
         ids = {c.id for c in cases}
         assert len(ids) == 20
 

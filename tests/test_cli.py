@@ -112,6 +112,23 @@ class TestSimulate:
             assert f"error: controller line {lineno}: " in proc.stderr, case
             assert "Traceback" not in proc.stderr, case
 
+    def test_table_for_another_system_is_an_error_not_a_traceback(
+        self, tmp_path, spec_file, controller_file
+    ):
+        # the same table rewritten for one input: header and every row
+        lines = [
+            "# input_dim: 1" if line.startswith("# input_dim:")
+            else line if line.startswith("#") else " ".join(line.split()[:-1])
+            for line in controller_file.read_text().splitlines()
+        ]
+        table = tmp_path / "one_input.txt"
+        table.write_text("\n".join(lines) + "\n")
+        proc = run_cli("simulate", str(spec_file), str(table))
+        assert proc.returncode == 1, proc.stderr
+        assert ("error: controller has state dimension 3 and input dimension 1; "
+                "field 'bicycle' has 3 and 2") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_x0_or_steps_is_a_usage_error_not_a_traceback(
         self, spec_file, controller_file
     ):
@@ -146,7 +163,7 @@ class TestNl2Spec:
                      "-o", str(out)])
         assert code == 0
         parsed = gs.parse_spec(out.read_text())
-        assert gs.semantic_diff(bicycle_spec, gs.canonicalize(parsed)).ok
+        assert gs.semantic_diff(bicycle_spec, parsed).ok
 
     def test_mock_blocked_exits_1(self, tmp_path, bicycle_spec, capsys):
         nl = self.make_nl(tmp_path)
@@ -219,3 +236,39 @@ class TestEval:
 
     def test_missing_strategy_is_usage_error(self, tmp_path):
         assert main(["eval", "-o", str(tmp_path / "r")]) == 2
+
+
+class TestUnreadableFiles:
+    def test_unreadable_file_is_a_usage_error_not_a_traceback(
+        self, tmp_path, spec_file, controller_file
+    ):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"caf\xe9 au lait\n")
+        nl = tmp_path / "task.txt"
+        nl.write_text("Drive to the pad.\n")
+        missing = tmp_path / "missing.txt"
+        for bad, argv in (
+            (latin1, ["synth", str(latin1), "-o", str(tmp_path / "x.txt")]),
+            (tmp_path, ["synth", str(tmp_path), "-o", str(tmp_path / "x.txt")]),
+            (missing, ["simulate", str(missing), str(controller_file)]),
+            (latin1, ["simulate", str(spec_file), str(latin1)]),
+            (latin1, ["nl2spec", "--nl", str(latin1), "--mock", str(nl)]),
+            (latin1, ["nl2spec", "--nl", str(nl), "--mock", str(latin1)]),
+        ):
+            proc = run_cli(*argv)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert "usage error: " in proc.stderr, argv
+            assert str(bad) in proc.stderr, argv
+            assert "Traceback" not in proc.stderr, argv
+
+    def test_case_without_spec_is_an_error_not_a_traceback(self, tmp_path):
+        case_dir = tmp_path / "cases" / "case01"
+        case_dir.mkdir(parents=True)
+        script = tmp_path / "script.txt"
+        write_script(["unused"], script)
+        proc = run_cli("eval", "--strategy", "code_agent_only",
+                       "--cases", str(tmp_path / "cases"), "--mock", str(script),
+                       "-o", str(tmp_path / "report"))
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: cannot read case file {case_dir / 'spec.json'}" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -151,7 +151,7 @@ class TestCheckReachAvoid:
             {"kind": "diagonal", "points": [[3.0, 3.0], [3.8, 3.8]]},
             {"kind": "diagonal", "points": [[0.2, 3.0], [0.8, 3.8]]},
         ]
-        spec = gs.canonicalize(gs.parse_spec(json.dumps(doc)))
+        spec = gs.parse_spec(json.dumps(doc))
         in_order = traj_through([[0.5, 0.5, 0.0], [3.4, 0.5, 0.0],
                                  [3.4, 3.4, 0.0], [0.5, 3.4, 0.0]])
         wrong_order = traj_through([[0.5, 0.5, 0.0], [0.5, 3.4, 0.0],

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import gridsynth as gs
-from gridsynth.errors import SchemaError
+from gridsynth.errors import GeometryError, SchemaError
 from gridsynth.specformat import canonicalize, parse_spec, semantic_diff, serialize_spec
 
 from conftest import bicycle_spec_doc
@@ -22,7 +23,7 @@ def parse_doc(d):
 
 class TestParse:
     def test_fixture_parses(self):
-        spec = canonicalize(parse_doc(doc()))
+        spec = parse_doc(doc())
         assert spec.system_name == "bicycle"
         assert spec.tau == 0.3
         assert spec.periodic == (False, False, True)
@@ -68,6 +69,24 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_doc(d)
 
+    @pytest.mark.parametrize("field, value, path", [
+        (("input_bounds", "upper", 0), math.inf, "$.input_bounds.upper"),
+        (("obstacles", 0, "points", 0, 1), math.nan, "$.obstacles[0].points[0]"),
+        (("tau",), math.inf, "$.tau"),
+        (("clearance",), math.inf, "$.clearance"),
+        (("tau",), 10**400, "$.tau"),  # an int literal beyond float range
+    ], ids=["input-inf", "obstacle-nan", "tau-inf", "clearance-inf", "tau-huge-int"])
+    def test_non_finite_number_rejected(self, field, value, path):
+        d = doc()
+        *parents, last = field
+        node = d
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(SchemaError) as exc:
+            parse_spec(json.dumps(d))  # json writes NaN / Infinity literals
+        assert exc.value.path == path
+
     def test_obstacle_outside_bounds_rejected(self):
         d = doc()
         d["obstacles"] = [
@@ -88,7 +107,7 @@ class TestParse:
         cs["obstacles"] = [{
             "kind": "center_sides", "center": [2.0, 2.0], "sides": [0.8, 0.8],
         }]
-        specs = [canonicalize(parse_doc(d)) for d in (base, v4, cs)]
+        specs = [parse_doc(d) for d in (base, v4, cs)]
         for s in specs[1:]:
             a, b = specs[0].obstacle_rects[0], s.obstacle_rects[0]
             assert np.allclose(a.lower, b.lower) and np.allclose(a.upper, b.upper)
@@ -107,7 +126,7 @@ class TestRoundTrip:
     def test_serialize_parse_round_trip(self):
         spec = parse_doc(doc())
         again = parse_spec(serialize_spec(spec))
-        assert semantic_diff(canonicalize(spec), canonicalize(again)).ok
+        assert semantic_diff(spec, again).ok
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(31)
@@ -122,8 +141,8 @@ class TestRoundTrip:
             d["clearance"] = float(rng.uniform(0, 0.3))
             d["initial"] = {"point": [float(rng.uniform(0.1, 0.9)),
                                       float(rng.uniform(0.1, 0.9)), 0.0]}
-            spec = canonicalize(parse_doc(d))
-            again = canonicalize(parse_spec(serialize_spec(spec)))
+            spec = parse_doc(d)
+            again = parse_spec(serialize_spec(spec))
             assert semantic_diff(spec, again).ok
 
     def test_serialized_is_valid_strict_json(self):
@@ -137,11 +156,32 @@ class TestRoundTrip:
 
 class TestCanonicalize:
     def test_idempotent(self):
-        spec = canonicalize(parse_doc(doc()))
-        spec2 = canonicalize(spec)
-        assert semantic_diff(spec, spec2).ok
-        for a, b in zip(spec.inflated_obstacle_rects, spec2.inflated_obstacle_rects):
-            assert np.allclose(a.lower, b.lower) and np.allclose(a.upper, b.upper)
+        spec = parse_doc(doc())
+        assert canonicalize(spec) is spec
+
+    def test_replace_recomputes_rects(self):
+        spec = parse_doc(dict(doc(), clearance=0.5))
+        moved = dataclasses.replace(spec, obstacles=(
+            gs.TwoDiagonalVertices((3.0, 0.4), (3.4, 0.8)),
+            gs.CenterAndSides((1.0, 2.0), (0.4, 0.4)),
+        ))
+
+        def corners(rects):
+            return [np.concatenate([r.lower, r.upper]) for r in rects]
+
+        # sorted by lower corner; the inflation is clipped at y = 0
+        assert np.allclose(corners(moved.obstacle_rects),
+                           [[0.8, 1.8, 1.2, 2.2], [3.0, 0.4, 3.4, 0.8]])
+        assert np.allclose(corners(moved.inflated_obstacle_rects),
+                           [[0.3, 1.3, 1.7, 2.7], [2.5, 0.0, 3.9, 1.3]])
+        assert moved.target_rects[0].approx_equal(spec.target_rects[0])
+
+    def test_replace_outside_bounds_raises(self):
+        spec = parse_doc(doc())
+        with pytest.raises(GeometryError, match="obstacle 0: outside state bounds"):
+            dataclasses.replace(
+                spec, obstacles=(gs.TwoDiagonalVertices((3.5, 3.5), (4.5, 4.5)),)
+            )
 
     def test_obstacles_sorted(self):
         d = doc()
@@ -152,7 +192,7 @@ class TestCanonicalize:
         d["targets"] = [
             {"kind": "diagonal", "points": [[1.6, 1.6], [2.4, 2.4]]}
         ]
-        spec = canonicalize(parse_doc(d))
+        spec = parse_doc(d)
         lowers = [tuple(r.lower) for r in spec.obstacle_rects]
         assert lowers == sorted(lowers)
 
@@ -163,7 +203,7 @@ class TestCanonicalize:
             {"kind": "diagonal", "points": [[1.5, 1.5], [2.5, 2.5]]}
         ]
         d["clearance"] = 0.5
-        spec = canonicalize(parse_doc(d))
+        spec = parse_doc(d)
         infl = spec.inflated_obstacle_rects[0]
         assert np.allclose(infl.lower, [1.0, 1.0])
         assert np.allclose(infl.upper, [3.0, 3.0])
@@ -177,7 +217,7 @@ class TestCanonicalize:
             {"kind": "diagonal", "points": [[3.0, 3.0], [3.8, 3.8]]}
         ]
         d["clearance"] = 0.5
-        spec = canonicalize(parse_doc(d))
+        spec = parse_doc(d)
         infl = spec.inflated_obstacle_rects[0]
         assert np.allclose(infl.lower, [0.0, 0.0])
 
@@ -192,12 +232,12 @@ class TestCanonicalize:
 
 class TestSemanticDiff:
     def ref(self):
-        return canonicalize(parse_doc(doc()))
+        return parse_doc(doc())
 
     def diff_with(self, mutate):
         d = doc()
         mutate(d)
-        return semantic_diff(self.ref(), canonicalize(parse_doc(d)))
+        return semantic_diff(self.ref(), parse_doc(d))
 
     def cats(self, report):
         return [e.category for e in report.entries]
@@ -244,7 +284,7 @@ class TestSemanticDiff:
         b = copy.deepcopy(a)
         b["targets"] = list(reversed(b["targets"]))
         report = semantic_diff(
-            canonicalize(parse_doc(a)), canonicalize(parse_doc(b))
+            parse_doc(a), parse_doc(b)
         )
         assert self.cats(report) == ["wrong_target_order"]
 
@@ -267,11 +307,6 @@ class TestSemanticDiff:
             )
         assert self.cats(self.diff_with(m)) == ["extra_obstacle"]
 
-    def test_requires_canonical(self):
-        raw = parse_doc(doc())
-        with pytest.raises(gs.GridSynthError):
-            semantic_diff(raw, raw)
-
     def test_dimension_mismatch_raises(self):
         d = doc()
         other = {
@@ -291,8 +326,8 @@ class TestSemanticDiff:
         }
         with pytest.raises(gs.GridSynthError):
             semantic_diff(
-                canonicalize(parse_doc(d)),
-                canonicalize(parse_spec(json.dumps(other))),
+                parse_doc(d),
+                parse_spec(json.dumps(other)),
             )
 
     def test_report_text_lists_categories(self):
@@ -317,6 +352,6 @@ class TestSemanticDiff:
             verts = d["obstacles"][0]["points"]
             for v in verts:
                 v[axis] += shift
-            report = semantic_diff(self.ref(), canonicalize(parse_doc(d)))
+            report = semantic_diff(self.ref(), parse_doc(d))
             assert not report.ok
             assert "geometry_mismatch" in self.cats(report)

@@ -314,6 +314,6 @@ GOLDEN_TABLE_SHA256 = {
 @pytest.mark.parametrize("case_id", sorted(GOLDEN_TABLE_SHA256))
 def test_golden_table_digest(case_id):
     doc = (fixtures_dir() / case_id / "spec.json").read_text()
-    result = gs.synthesize(gs.canonicalize(gs.parse_spec(doc)))
+    result = gs.synthesize(gs.parse_spec(doc))
     text = export_controller(result.controller, result.grid)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TABLE_SHA256[case_id]
