@@ -47,7 +47,7 @@ spec = gs.parse_spec(json.dumps(spec_doc))
 result = synthesize(spec)
 print(f"abstract states:    {result.fts.num_states}")
 print(f"quantized inputs:   {result.fts.num_inputs}")
-print(f"transitions:        {len(result.fts.succ)}")
+print(f"transitions:        {result.fts.num_transitions}")
 print(f"winning fraction:   {result.winning_fraction:.4f}")
 print(f"build / solve time: {result.build_seconds:.2f}s / {result.solve_seconds:.2f}s")
 

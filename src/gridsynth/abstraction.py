@@ -7,8 +7,16 @@ touches.  Pairs whose box exits the gridded domain in a non-periodic
 dimension are marked blocked: no transition is claimed, which is the
 conservative choice.
 
-The relation is stored CSR-style (flat successor array + offsets) so that
-construction order, memory layout, and iteration order are all deterministic.
+The relation is kept in one of two stores; both give the same successor
+sets in the same deterministic order.  The CSR store holds every pair's
+successor list (flat successor array + offsets).  A field that declares
+invariant_dims gets the stencil store instead: there a pair's successor box,
+taken relative to the pair's own cell in the invariant dimensions, depends
+only on its class (the grid index of the other dimensions, together with the
+input), so one box per class and each pair's blocked flag and successor
+count describe the whole relation.  The build checks that every cell of
+every class agrees on its box; if one does not, it falls back to the CSR
+store and records why.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,36 +73,337 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _map_inputs(fn, items):
+    """fn over items on a thread pool, yielding the results in item order.
+
+    One thread per CPU the process may run on, at most MAX_WORKERS and at
+    most one per item; numpy releases the GIL inside its large array
+    operations.
+    """
+    workers = max(1, min(_cpu_count(), len(items), MAX_WORKERS))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
+
+
 def _index_dtype(max_value: int):
     """Narrowest index dtype for values up to max_value: int32 below 2**31."""
     return np.int32 if max_value < 2**31 else np.int64
 
 
-@dataclass
-class FiniteTransitionSystem:
-    """Sparse transition relation over abstract states and inputs.
+def _strides(shape) -> np.ndarray:
+    """Row-major strides of a lattice: flat id = multi-index @ strides."""
+    return np.array([int(np.prod(shape[i + 1 :])) for i in range(len(shape))], dtype=np.int64)
 
-    Pair (state s, input u) lives at index u * num_states + s; its successor
-    list is succ[indptr[q]:indptr[q+1]], sorted and duplicate-free.  Index
-    arrays take _index_dtype of their largest value: succ holds state ids
-    (int32 unless num_states reaches 2**31), the reverse relation holds pair
-    ids; indptr is always int64.
+
+# --- successor boxes -------------------------------------------------------------
+
+
+def _cell_ranges(grid: UniformGrid, endc, radius):
+    """Cell index ranges of a batch of box images, before any clipping.
+
+    Returns (blocked, k_min, k_max, non-finite rows): per row and dimension
+    the first and last cell index the closed box center +- radius touches.
+    A row is blocked when its center is non-finite or its box leaves the
+    grid in a non-periodic dimension.
+    """
+    finite = np.all(np.isfinite(endc), axis=1)
+    nonfinite = int(np.sum(~finite))
+    endc = np.where(finite[:, None], endc, 0.0)
+    lower = grid.bounds.lower
+    upper = grid.bounds.upper
+    box_lo = endc - radius
+    box_hi = endc + radius
+    exits = np.any(
+        ~np.array(grid.periodic)
+        & ((box_lo < lower - SNAP_TOL) | (box_hi > upper + SNAP_TOL)),
+        axis=1,
+    )
+    v_lo = snap((box_lo - lower) / grid.eta)
+    v_hi = snap((box_hi - lower) / grid.eta)
+    k_min = np.ceil(v_lo - 1.0).astype(np.int64)
+    k_max = np.floor(v_hi).astype(np.int64)
+    return exits | ~finite, k_min, k_max, nonfinite
+
+
+def _clip(k_min, k_max, blocked, shape, periodic):
+    """Clip index ranges to a lattice: (first index, span, cell count) per row.
+
+    Periodic dimensions wrap (the span is clipped to a full revolution), the
+    others clamp; a blocked row counts no cells.
+    """
+    first = np.where(periodic, k_min, np.maximum(k_min, 0))
+    last = np.minimum(k_max, np.where(periodic, k_min, 0) + (shape - 1))
+    span = np.maximum(last - first + 1, 0)
+    counts = np.where(blocked, 0, np.prod(span, axis=1))
+    return first, span, counts
+
+
+def _expand(k_min, span, counts, shape, periodic, dtype):
+    """Flat ids of the clipped boxes of _clip, row after row, each row sorted."""
+    n = len(shape)
+    strides = _strides(shape)
+    offsets = np.cumsum(counts) - counts
+    flat = np.empty(int(counts.sum()), dtype=dtype)
+
+    # A periodic dimension lists its cyclic interval a, a+1, ... (mod N) in
+    # ascending order: the w values that wrap past N come first as
+    # 0..w-1, then a..N-1.  So the d-th value is a + d - (a if d < w else
+    # w), and the row-major product of the per-dimension lists is sorted.
+    a = np.where(periodic, k_min % shape, k_min)
+    w = np.where(periodic, np.maximum(a + span - shape, 0), 0)
+    base = a @ strides
+    # rows with the same span share one offset stencil
+    live = np.flatnonzero(counts)
+    keys, group = np.unique(
+        np.ravel_multi_index(span[live].T, shape + 1), return_inverse=True
+    )
+    for g, key in enumerate(keys):
+        rows = live[group == g]
+        digits = np.indices(np.unravel_index(key, shape + 1)).reshape(n, -1)
+        block = (base[rows, None] + (strides @ digits)[None, :]).astype(dtype)
+        for i in np.flatnonzero(periodic):
+            wrap = np.flatnonzero(w[rows, i])
+            if wrap.size:
+                ai = a[rows[wrap], i, None]
+                wi = w[rows[wrap], i, None]
+                block[wrap] -= np.where(digits[i] < wi, ai, wi) * strides[i]
+        flat[offsets[rows, None] + np.arange(digits.shape[1])] = block
+    return flat
+
+
+class StencilStore:
+    """The relation of a field with invariant dimensions, one box per class.
+
+    A class is the grid index of the dimensions the field reads, together
+    with an input.  Its box is lo (the first cell index touched, relative to
+    the pair's own cell in an invariant dimension and absolute in the
+    others) and width (last index minus first) per dimension, before any
+    clipping to the grid; a pair's successors are that box moved to its cell
+    and clipped as the CSR build clips it.  Beside the boxes the store keeps
+    each pair's blocked flag and successor count.
     """
 
-    num_states: int
-    num_inputs: int
-    indptr: np.ndarray  # int64, length num_states * num_inputs + 1
-    succ: np.ndarray  # _index_dtype(num_states)
-    blocked: np.ndarray  # bool, length num_states * num_inputs
-    eta: np.ndarray = None
-    tau: float = 0.0
-    nonfinite_pairs: int = 0
-    _reverse: tuple = field(default=None, repr=False, compare=False)
+    def __init__(self, grid: UniformGrid, invariant_dims):
+        self.grid = grid
+        self.shape = np.array(grid.shape, dtype=np.int64)
+        self.periodic = np.array(grid.periodic, dtype=bool)
+        self.strides = grid._strides
+        self.inv = np.array(invariant_dims, dtype=np.int64)
+        self.keep = np.setdiff1d(np.arange(grid.n), self.inv)
+        self.multi = np.stack(np.unravel_index(np.arange(grid.num_cells), grid.shape), axis=1)
+        self.cls = self.multi[:, self.keep] @ _strides(self.shape[self.keep])
+        self.num_classes = int(np.prod(self.shape[self.keep]))
+        self._by_class = np.argsort(self.cls, kind="stable")
+        # set by build_abstraction: (U, C, n) boxes, (U, C) whether a class
+        # has an unblocked cell, and per pair the counts and blocked flags
+        self.lo = self.width = self.has = None
+        self.counts = self.blocked = None
+        self._tables = None
+
+    def class_boxes(self, k_min, k_max, blocked):
+        """(lo, width, has) of every class from one input's per-cell ranges.
+
+        Every unblocked cell of a class must give the same box; otherwise
+        returns a string naming the first class that breaks this.
+        """
+        C, n = self.num_classes, self.grid.n
+        rel = k_min.copy()
+        rel[:, self.inv] -= self.multi[:, self.inv]
+        key = np.concatenate([rel, k_max - k_min], axis=1)[self._by_class].reshape(C, -1, 2 * n)
+        live = ~blocked[self._by_class].reshape(C, -1)
+        first = key[np.arange(C), live.argmax(axis=1)]
+        agree = (key == first[:, None, :]).all(axis=2) | ~live
+        bad = np.flatnonzero(~agree.all(axis=1))
+        if bad.size:
+            return f"class {bad[0]}: its cells' successor boxes differ"
+        return first[:, :n], first[:, n:], live.any(axis=1)
+
+    def expand(self, lo, width, cells, blocked):
+        """Sorted successor lists of the pairs (cells, u) under one input's boxes."""
+        c = self.cls[cells]
+        k_min = lo[c]
+        k_min[:, self.inv] += self.multi[cells][:, self.inv]
+        k_lo, span, counts = _clip(k_min, k_min + width[c], blocked, self.shape, self.periodic)
+        index = _index_dtype(self.grid.num_cells)
+        return _expand(k_lo, span, counts, self.shape, self.periodic, index)
+
+    def successors(self, s, u):
+        S = self.grid.num_cells
+        q = u * S + s
+        return self.expand(self.lo[u], self.width[u], [s], self.blocked[q : q + 1])
+
+    def csr(self):
+        """(indptr, succ) of the whole relation, one input per pool task."""
+        S, U = self.grid.num_cells, len(self.lo)
+
+        def block(u):
+            return self.expand(
+                self.lo[u], self.width[u], slice(None), self.blocked[u * S : (u + 1) * S]
+            )
+
+        indptr = np.zeros(S * U + 1, dtype=np.int64)
+        np.cumsum(self.counts, dtype=np.int64, out=indptr[1:])
+        return indptr, np.concatenate(list(_map_inputs(block, range(U))))
+
+    def _predecessor_tables(self):
+        """Per target class, every (source class, box cell) that reaches it.
+
+        Returns (ptr, pair, delta, d_lo, d_hi).  Entries ptr[c]:ptr[c+1]
+        belong to target class c: a target cell t of that class has the
+        predecessor pair id t + pair when its invariant index minus delta
+        (one row per invariant dimension) lies on the grid, or wraps in a
+        periodic dimension.  d_lo and d_hi hold each target class's
+        smallest and largest delta.
+        """
+        S = self.grid.num_cells
+        C, inv, keep = self.num_classes, self.inv, self.keep
+        u, c = np.nonzero(self.has)
+        lo, width = self.lo[u, c], self.width[u, c]
+        if keep.size:  # the kept dimensions clip exactly as in a CSR build
+            k_lo, span, heads_n = _clip(
+                lo[:, keep], lo[:, keep] + width[:, keep], False,
+                self.shape[keep], self.periodic[keep],
+            )
+            heads = _expand(k_lo, span, heads_n, self.shape[keep], self.periodic[keep], np.int64)
+        else:
+            heads_n, heads = np.ones(len(u), np.int64), np.zeros(len(u), np.int64)
+        # the invariant box is left unclipped: bounds are checked per target
+        # cell.  Listed as the cells of a box shifted onto a lattice that
+        # holds every box.
+        span = width[:, inv] + 1
+        span = np.where(self.periodic[inv], np.minimum(span, self.shape[inv]), span)
+        deltas_n = np.prod(span, axis=1)
+        shift = lo[:, inv].min(axis=0, initial=0)
+        ext = (lo[:, inv] - shift + span).max(axis=0, initial=1)
+        flat = _expand(lo[:, inv] - shift, span, deltas_n, ext, np.zeros(inv.size, bool), np.int64)
+        deltas = np.stack(np.unravel_index(flat, ext), axis=1) + shift
+        # every (target class, delta) of every source class
+        n_e = heads_n * deltas_n
+        row = np.repeat(np.arange(len(u)), n_e)
+        j = np.arange(n_e.sum()) - np.repeat(np.cumsum(n_e) - n_e, n_e)
+        head = heads[(np.cumsum(heads_n) - heads_n)[row] + j // deltas_n[row]]
+        delta = deltas[(np.cumsum(deltas_n) - deltas_n)[row] + j % deltas_n[row]]
+        base = np.zeros(C, dtype=np.int64)  # flat-id share of each class's kept index
+        base[self.cls] = self.multi[:, keep] @ self.strides[keep]
+        pair = u[row] * S + base[c[row]] - base[head] - delta @ self.strides[inv]
+        order = np.argsort(head, kind="stable")
+        ptr = np.zeros(C + 1, dtype=np.int64)
+        np.cumsum(np.bincount(head, minlength=C), out=ptr[1:])
+        delta = delta[order]
+        d_lo = np.zeros((C, inv.size), dtype=np.int64)
+        d_hi = np.zeros((C, inv.size), dtype=np.int64)
+        live = np.flatnonzero(np.diff(ptr))
+        d_lo[live] = np.minimum.reduceat(delta, ptr[live], axis=0)
+        d_hi[live] = np.maximum.reduceat(delta, ptr[live], axis=0)
+        index = _index_dtype(S * (len(self.lo) + 2))  # |pair| < S * U + 2 S
+        return ptr, pair[order].astype(index), delta.T.copy(), d_lo, d_hi
+
+    def predecessors(self, frontier):
+        """Pair ids with a successor in frontier, once per such edge, unordered.
+
+        Blocked pairs are included.  The cells of each target class are
+        broadcast against its table; only cells near the grid's edge in an
+        invariant dimension need the bounds check (or the wrap, in a
+        periodic dimension).
+        """
+        if self._tables is None:
+            self._tables = self._predecessor_tables()
+        ptr, pair, delta, d_lo, d_hi = self._tables
+        frontier = frontier[np.argsort(self.cls[frontier], kind="stable")]
+        classes = self.cls[frontier]
+        p = self.multi[frontier][:, self.inv]
+        inner = np.all((p >= d_hi[classes]) & (p < self.shape[self.inv] + d_lo[classes]), axis=1)
+        bounds = np.flatnonzero(np.diff(classes, prepend=-1, append=-1))
+        out = [np.zeros(0, dtype=pair.dtype)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            c = classes[lo]
+            e = slice(ptr[c], ptr[c + 1])
+            t, ins = frontier[lo:hi], inner[lo:hi]
+            out.append((t[ins].astype(pair.dtype)[:, None] + pair[e]).ravel())
+            if not ins.all():
+                out.append(self._edge_predecessors(t[~ins], p[lo:hi][~ins], pair[e], delta[:, e]))
+        return np.concatenate(out)
+
+    def _edge_predecessors(self, t, p, pair, delta):
+        """predecessors of cells t (invariant indices p) with bounds checks."""
+        q = t[:, None].astype(np.int64) + pair
+        on_grid = np.ones(q.shape, dtype=bool)
+        inv = self.inv
+        for i, n, stride, per in zip(
+            range(inv.size), self.shape[inv], self.strides[inv], self.periodic[inv]
+        ):
+            src = p[:, i, None] - delta[i]
+            if per:
+                q += (src % n - src) * stride
+            else:
+                on_grid &= (src >= 0) & (src < n)
+        return q[on_grid].astype(pair.dtype)
+
+
+class FiniteTransitionSystem:
+    """Transition relation over abstract states and inputs.
+
+    Pair (state s, input u) lives at index u * num_states + s.  delta(s, u)
+    is its successor list, sorted and duplicate-free, and blocked[q] marks
+    the pairs that claim no transition.  The relation sits in one of two
+    stores:
+
+    - CSR (stencil is None): succ[indptr[q]:indptr[q+1]] lists pair q's
+      successors; the solver gathers predecessors from reverse().
+    - stencil (a StencilStore, built for a field that declares
+      invariant_dims): one successor box per class plus per-pair counts.
+      indptr and succ are then a CSR view expanded on first read and
+      cached; reverse() is built from that view.
+
+    fallback says why a field that declares invariant_dims got the CSR store
+    anyway (None when it did not).  Index arrays take _index_dtype of their
+    largest value: succ holds state ids (int32 unless num_states reaches
+    2**31), the reverse relation holds pair ids; indptr is always int64.
+    """
+
+    def __init__(
+        self,
+        num_states: int,
+        num_inputs: int,
+        indptr: np.ndarray = None,  # int64, length num_states * num_inputs + 1
+        succ: np.ndarray = None,  # _index_dtype(num_states)
+        blocked: np.ndarray = None,  # bool, length num_states * num_inputs
+        eta: np.ndarray = None,
+        tau: float = 0.0,
+        nonfinite_pairs: int = 0,
+        stencil: StencilStore = None,
+        fallback: str = None,
+    ):
+        self.num_states = num_states
+        self.num_inputs = num_inputs
+        self.blocked = blocked
+        self.eta = eta
+        self.tau = tau
+        self.nonfinite_pairs = nonfinite_pairs
+        self.stencil = stencil
+        self.fallback = fallback
+        self._csr = None if stencil is not None else (indptr, succ)
+        self._reverse = None
+
+    def _view(self):
+        if self._csr is None:
+            self._csr = self.stencil.csr()
+        return self._csr
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._view()[0]
+
+    @property
+    def succ(self) -> np.ndarray:
+        return self._view()[1]
 
     def pair_id(self, s: int, u: int) -> int:
         return u * self.num_states + s
 
     def delta(self, s: int, u: int) -> np.ndarray:
+        if self.stencil is not None:
+            return self.stencil.successors(s, u)
         q = self.pair_id(s, u)
         return self.succ[self.indptr[q] : self.indptr[q + 1]]
 
@@ -103,7 +412,33 @@ class FiniteTransitionSystem:
 
     @property
     def num_transitions(self) -> int:
+        if self.stencil is not None:
+            return int(self.stencil.counts.sum())
         return int(self.succ.size)
+
+    def outstanding(self) -> np.ndarray:
+        """Fresh int32 outstanding-successor counters: each pair's successor count.
+
+        The solver certifies a pair when a decrement brings its counter to
+        zero, so a blocked pair (count 0) is never certified, even where the
+        stencil store lists it as a predecessor.
+        """
+        counts = self.stencil.counts if self.stencil is not None else np.diff(self.indptr)
+        return counts.astype(np.int32)
+
+    def predecessors(self, frontier) -> np.ndarray:
+        """Pair ids q with a state of frontier in succ(q), once per such edge.
+
+        A fresh array in no particular order; the stencil store also lists
+        blocked pairs (see outstanding).
+        """
+        if self.stencil is not None:
+            return self.stencil.predecessors(frontier)
+        rev_indptr, rev_pairs = self.reverse()
+        lo = rev_indptr[frontier]
+        lens = rev_indptr[frontier + 1] - lo
+        total = int(lens.sum())
+        return rev_pairs[np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(total)]
 
     def reverse(self):
         """Predecessor map: for each state s', the pair ids q with s' in succ(q).
@@ -153,19 +488,21 @@ def build_abstraction(
     """Construct the transition relation for every (cell, input) pair.
 
     Each input is one task that handles all cells as one vectorized batch;
-    no task depends on another.  The tasks run on a thread pool (numpy
-    releases the GIL inside its large array operations) of one thread per
-    CPU the process may run on, at most MAX_WORKERS and at most one per
-    input.  Their blocks merge in input order, i.e. pair-id order, so the
-    relation is the same bytes for any pool size.  Every task in flight
-    holds one input block's temporaries (the RK4 path of all cells is the
-    largest), which bounds the pool.  Each input's box images come from
-    propagate_box; a pair whose image is non-finite is blocked and counted
-    in nonfinite_pairs.
+    no task depends on another.  The tasks run on the _map_inputs pool and
+    merge in input order, i.e. pair-id order, so the relation is the same
+    bytes for any pool size.  Every task in flight holds one input block's
+    temporaries (the RK4 path of all cells is the largest), which bounds the
+    pool.  Each input's box images come from propagate_box; a pair whose
+    image is non-finite is blocked and counted in nonfinite_pairs.
+
     For a field that declares invariant_dims, integrate_path evaluates f
     once per distinct remaining coordinate of the cell centers (once per
-    heading for the bicycle) with every image unchanged to the last bit, so
-    the relation is the same as without the declaration.
+    heading for the bicycle) with every image unchanged to the last bit, and
+    each task keeps its input's class boxes (StencilStore.class_boxes)
+    instead of successor lists.  If a class's cells disagree on their box,
+    every input gets successor lists, expanded from the boxes where a task
+    kept them, and fallback names the class.  Either way the successor sets
+    are those of the same field without the declaration.
     """
     if grid.n != f.dim_state:
         raise GeometryError("grid/state dimension mismatch")
@@ -173,98 +510,63 @@ def build_abstraction(
     if inputs.ndim != 2 or inputs.shape[1] != f.dim_input:
         raise GeometryError("inputs must be a (num_inputs, m) array")
 
-    S = grid.num_cells
-    index = _index_dtype(S)
-    n = grid.n
+    S, U = grid.num_cells, inputs.shape[0]
     centers = grid.all_centers()
     shape = np.array(grid.shape, dtype=np.int64)
-    strides = grid._strides
     periodic = np.array(grid.periodic, dtype=bool)
-    lower = grid.bounds.lower
-    upper = grid.bounds.upper
+    store = StencilStore(grid, f.invariant_dims) if f.invariant_dims and U else None
 
-    def expand(u_vec):
-        """One input block: (successors, counts, blocked, non-finite pairs)."""
+    def task(item):
+        """One input: (class boxes or successors, counts, blocked, non-finite pairs, fallback)."""
+        u, u_vec = item
         endc, new_radius = propagate_box(f, centers, grid.eta / 2.0, u_vec, tau)
-        finite = np.all(np.isfinite(endc), axis=1)
-        nonfinite = int(np.sum(~finite))
-        endc = np.where(finite[:, None], endc, 0.0)
+        blocked, k_min, k_max, nonfinite = _cell_ranges(grid, endc, new_radius)
+        k_lo, span, counts = _clip(k_min, k_max, blocked, shape, periodic)
+        why = None
+        if store is not None:
+            boxes = store.class_boxes(k_min, k_max, blocked)
+            if not isinstance(boxes, str):
+                return boxes, counts, blocked, nonfinite, None
+            why = f"input {u}, {boxes}"
+        succ = _expand(k_lo, span, counts, shape, periodic, _index_dtype(S))
+        return succ, counts, blocked, nonfinite, why
 
-        box_lo = endc - new_radius
-        box_hi = endc + new_radius
-        exits = np.any(
-            (~periodic)
-            & ((box_lo < lower - SNAP_TOL) | (box_hi > upper + SNAP_TOL)),
-            axis=1,
-        )
-        blocked = exits | ~finite
-
-        v_lo = snap((box_lo - lower) / grid.eta)
-        v_hi = snap((box_hi - lower) / grid.eta)
-        k_min = np.ceil(v_lo - 1.0).astype(np.int64)
-        k_max = np.floor(v_hi).astype(np.int64)
-        # periodic dims wrap (span clipped to a full revolution); others clamp
-        span = k_max - k_min + 1
-        span = np.where(periodic, np.minimum(span, shape), span)
-        k_min = np.where(~periodic, np.maximum(k_min, 0), k_min)
-        k_max_c = np.where(~periodic, np.minimum(k_max, shape - 1), k_min + span - 1)
-        span = np.where(~periodic, k_max_c - k_min + 1, span)
-        span = np.maximum(span, 0)
-
-        counts = np.where(blocked, 0, np.prod(span, axis=1))
-        offsets = np.cumsum(counts) - counts
-        flat = np.empty(int(counts.sum()), dtype=index)
-
-        # A periodic dimension lists its cyclic interval a, a+1, ... (mod N) in
-        # ascending order: the w values that wrap past N come first as
-        # 0..w-1, then a..N-1.  So the d-th value is a + d - (a if d < w else
-        # w), and the row-major product of the per-dimension lists is sorted.
-        a = np.where(periodic, k_min % shape, k_min)
-        w = np.where(periodic, np.maximum(a + span - shape, 0), 0)
-        base = a @ strides
-        # pairs with the same span share one offset stencil
-        live = np.flatnonzero(counts)
-        keys, group = np.unique(
-            np.ravel_multi_index(span[live].T, shape + 1), return_inverse=True
-        )
-        for g, key in enumerate(keys):
-            rows = live[group == g]
-            digits = np.indices(np.unravel_index(key, shape + 1)).reshape(n, -1)
-            block = (base[rows, None] + (strides @ digits)[None, :]).astype(index)
-            for i in np.flatnonzero(periodic):
-                wrap = np.flatnonzero(w[rows, i])
-                if wrap.size:
-                    ai = a[rows[wrap], i, None]
-                    wi = w[rows[wrap], i, None]
-                    block[wrap] -= np.where(digits[i] < wi, ai, wi) * strides[i]
-            flat[offsets[rows, None] + np.arange(digits.shape[1])] = block
-        return flat, counts, blocked, nonfinite
-
-    U = inputs.shape[0]
-    succ_blocks = []
-    indptr = np.zeros(S * U + 1, dtype=np.int64)  # counts until the cumsum below
+    forms = []
+    counts_all = np.empty(S * U, dtype=np.int32)
     blocked_all = np.empty(S * U, dtype=bool)
     nonfinite_pairs = 0
-    workers = max(1, min(_cpu_count(), U, MAX_WORKERS))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map yields in input order, so the merge is the same for any pool size
-        for u, (flat, counts, blocked, nonfinite) in enumerate(pool.map(expand, inputs)):
-            succ_blocks.append(flat)
-            indptr[1 + u * S : 1 + (u + 1) * S] = counts
-            blocked_all[u * S : (u + 1) * S] = blocked
-            nonfinite_pairs += nonfinite
+    fallback = None
+    for u, (form, counts, blocked, nonfinite, why) in enumerate(
+        _map_inputs(task, list(enumerate(inputs)))
+    ):
+        forms.append(form)
+        counts_all[u * S : (u + 1) * S] = counts
+        blocked_all[u * S : (u + 1) * S] = blocked
+        nonfinite_pairs += nonfinite
+        fallback = fallback or why
 
-    np.cumsum(indptr, out=indptr)
-    return FiniteTransitionSystem(
+    common = dict(
         num_states=S,
         num_inputs=U,
-        indptr=indptr,
-        succ=np.concatenate(succ_blocks) if succ_blocks else np.zeros(0, index),
         blocked=blocked_all,
         eta=grid.eta,
         tau=float(tau),
         nonfinite_pairs=nonfinite_pairs,
     )
+    if store is not None and fallback is None:
+        store.lo, store.width, store.has = (np.stack(x) for x in zip(*forms))
+        store.counts, store.blocked = counts_all, blocked_all
+        return FiniteTransitionSystem(**common, stencil=store)
+
+    for u, form in enumerate(forms):
+        if isinstance(form, tuple):
+            blocked = blocked_all[u * S : (u + 1) * S]
+            forms[u] = store.expand(form[0], form[1], slice(None), blocked)
+    indptr = np.zeros(S * U + 1, dtype=np.int64)
+    np.cumsum(counts_all, dtype=np.int64, out=indptr[1:])
+    del counts_all  # not held through the concatenation
+    succ = np.concatenate(forms) if forms else np.zeros(0, _index_dtype(S))
+    return FiniteTransitionSystem(**common, indptr=indptr, succ=succ, fallback=fallback)
 
 
 # --- cell labeling -------------------------------------------------------------

@@ -74,7 +74,12 @@ def load_cases(cases_dir) -> list:
     cases_dir = Path(cases_dir)
     cases = []
     for case_dir in sorted(p for p in cases_dir.iterdir() if p.is_dir()):
-        spec = parse_spec(_read_case_file(case_dir / "spec.json"))
+        spec_path = case_dir / "spec.json"
+        text = _read_case_file(spec_path)
+        try:
+            spec = parse_spec(text)
+        except GridSynthError as exc:
+            raise GridSynthError(f"{spec_path}: {exc}") from None
         paraphrases = tuple(
             _read_case_file(case_dir / f"paraphrase_{i}.txt").strip()
             for i in (1, 2, 3)

@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 specification/verification failure, 2 usage error,
 3 external-service (LLM client) error.  Human-readable summaries go to
-stderr; machine artifacts go to files or stdout only.
+stderr, each warning as one 'warning: <message>' line; machine artifacts go
+to files or stdout only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import warnings
 from pathlib import Path
@@ -49,11 +51,18 @@ class UsageError(Exception):
 def _read_text(path: str, what: str) -> str:
     """Contents of a UTF-8 text file; UsageError naming the path otherwise."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+    return _decode(data, f"{what} {path}")
+
+
+def _decode(data: bytes, source: str) -> str:
+    """Strict UTF-8 text of data, newlines translated as a text-mode read does."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+        raise UsageError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
 
 def cmd_synth(args) -> int:
@@ -139,7 +148,7 @@ def _make_client(args):
 
 def cmd_nl2spec(args) -> int:
     if args.nl == "-":
-        nl = sys.stdin.read()
+        nl = _decode(sys.stdin.buffer.read(), "standard input")
     else:
         nl = _read_text(args.nl, "NL file")
     client = _make_client(args)
@@ -221,6 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -229,7 +242,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.showwarning = _print_warning
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

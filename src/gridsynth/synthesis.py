@@ -3,12 +3,14 @@
 The winning set is the least fixed point of the controllable-predecessor
 operator under worst-case nondeterminism: an input certifies a state only
 when every abstract successor is already winning.  The solver runs a
-backward breadth-first sweep over the precomputed reverse relation with
-per-(state, input) outstanding-successor counters.  Each level gathers the
-reverse edges into the frontier, sorts their pair ids and counts each run,
-and takes the counts off the counters; a pair whose counter reaches zero
-certifies its state.  Every edge is gathered once per stage, so a stage
-costs one sort of the relation in level-sized pieces.  Ties between
+backward breadth-first sweep with per-(state, input) outstanding-successor
+counters.  Each level gathers the predecessor edges into the frontier
+(FiniteTransitionSystem.predecessors: the reverse relation of a CSR store,
+or each target class's stencil offsets added to its frontier cells in a
+stencil store), sorts their pair ids and counts each run, and takes the
+counts off the counters; a pair whose counter reaches zero certifies its
+state.  Every edge is gathered once per stage, so a stage costs one gather
+and one sort of the relation's edges in level-sized pieces.  Ties between
 certifying inputs break toward the smallest input id, making the extracted
 controller deterministic.
 """
@@ -93,21 +95,21 @@ def _solve_stage(fts: FiniteTransitionSystem, obstacle_set, goal_set) -> StagePo
     winning[goal] = True
     value[goal] = 0
 
-    rev_indptr, rev_pairs = fts.reverse()
-    outstanding = np.diff(fts.indptr).astype(np.int32)
-
     frontier = np.sort(goal)
+    outstanding = None
     level = 0
     while frontier.size:
         level += 1
-        # gather the reverse edges into the frontier: every hit on a pair
-        # takes one off its outstanding-successor count
-        lo = rev_indptr[frontier]
-        lens = rev_indptr[frontier + 1] - lo
-        total = int(lens.sum())
+        # every predecessor edge into the frontier takes one off its pair's
+        # outstanding-successor count
+        qs = fts.predecessors(frontier)
+        total = qs.size
         if total == 0:
             break
-        qs = rev_pairs[np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(total)]
+        if outstanding is None:
+            # made after the first gather, so the counters are not held
+            # while a CSR store builds its reverse relation
+            outstanding = fts.outstanding()
         qs.sort()
         starts = np.flatnonzero(np.concatenate([[True], qs[1:] != qs[:-1]]))
         cand = qs[starts]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import threading
@@ -16,6 +17,8 @@ from gridsynth.abstraction import (
 )
 from gridsynth.errors import EmptyInputSet, EmptyTarget
 from gridsynth.geometry import HyperRect, UniformGrid
+from gridsynth.pipeline import synthesize
+from gridsynth.synthesis import _solve_stage
 
 from conftest import case01_spec, make_random_fts
 
@@ -332,3 +335,105 @@ class TestPool:
         grid = UniformGrid(HyperRect([0.0], [10.0]), np.array([1.0]), [False])
         build_abstraction(grid, np.array([[-1.0], [1.0]]), field, 1.0)
         assert len(seen) >= 2
+
+
+def lifted_inf_right_field():
+    """inf-right in x with y moved by the input; f never reads y."""
+    return gs.VectorField(
+        "inf-right-2d", 2, 1,
+        lambda x, u: np.stack(
+            [np.where(x[..., 0] > 5.0, np.inf, 0.0), np.broadcast_to(u[0], x[..., 1].shape)],
+            axis=-1,
+        ),
+        growth_matrix=np.zeros((2, 2)),
+        invariant_dims=(1,),
+    )
+
+
+def stencil_case(name, dims):
+    """((grid, inputs, declared field, tau), undeclared twin) for a pool case."""
+    if name == "non-finite":  # inf-right reads its one dimension: lift it to 2-D
+        grid = UniformGrid(HyperRect([0.0, 0.0], [10.0, 6.0]), np.ones(2), [False, False])
+        case = grid, np.array([[-1.0], [0.0], [1.0]]), lifted_inf_right_field(), 1.0
+    else:
+        grid, inputs, field, tau = pool_case(name)
+        case = grid, inputs, dataclasses.replace(field, invariant_dims=dims), tau
+    return case, dataclasses.replace(case[2], invariant_dims=())
+
+
+def policies(fts, grid):
+    """Solved stage of a fixed goal and obstacle layer, as comparable arrays."""
+    goal = set(range(0, grid.num_cells, 7))
+    obstacles = frozenset(range(3, grid.num_cells, 11)) - goal
+    pol = _solve_stage(fts, obstacles, goal)
+    return pol.winning, pol.value, pol.choice
+
+
+def assert_same_relation(got, want, grid, pairs=None):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.succ, want.succ) and got.succ.dtype == want.succ.dtype
+    assert np.array_equal(got.blocked, want.blocked)
+    assert got.nonfinite_pairs == want.nonfinite_pairs
+    assert got.num_transitions == want.num_transitions
+    for q in range(got.num_states * got.num_inputs) if pairs is None else pairs:
+        s, u = q % got.num_states, q // got.num_states
+        assert np.array_equal(got.delta(s, u), want.delta(s, u)), (s, u)
+    for a, b in zip(policies(got, grid), policies(want, grid)):
+        assert np.array_equal(a, b)
+
+
+STENCIL_CASES = [
+    ("periodic-wrap", (0, 2)),  # a periodic invariant dim, the kept dim in the middle
+    ("periodic-wrap", (0, 1, 2)),  # every dim invariant: one class per input
+    ("invariant-dims", (0, 1)),  # case01's bicycle
+    ("non-finite", (1,)),
+]
+
+
+class TestStencilStore:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name,dims", STENCIL_CASES)
+    def test_stencil_equals_csr_twin(self, name, dims, cpus, monkeypatch):
+        monkeypatch.setattr(abstraction, "_cpu_count", lambda: cpus)
+        case, twin_field = stencil_case(name, dims)
+        grid = case[0]
+        fts = build_abstraction(*case)
+        twin = build_abstraction(grid, case[1], twin_field, case[3])
+        assert fts.stencil is not None and fts.fallback is None
+        assert twin.stencil is None and twin.fallback is None
+        assert (fts.nonfinite_pairs > 0) == (name == "non-finite")
+        # case01 has 607,600 pairs: every one is in the view, a sample
+        # goes through delta
+        size = fts.num_states * fts.num_inputs
+        pairs = None if size < 10_000 else np.random.default_rng(1).choice(size, 3000)
+        assert_same_relation(fts, twin, grid, pairs)
+
+    def test_disagreeing_class_falls_back_to_csr(self, monkeypatch):
+        case, twin_field = stencil_case("periodic-wrap", (0, 2))
+        grid, inputs = case[0], case[1]
+        real = abstraction.propagate_box
+
+        def moved(vf, center, radius, u, tau):
+            # under input 1 one cell's image lands a cell further in dim 0
+            endc, new_radius = real(vf, center, radius, u, tau)
+            if np.array_equal(u, inputs[1]):
+                endc = endc.copy()
+                endc[7, 0] += grid.eta[0]
+            return endc, new_radius
+
+        monkeypatch.setattr(abstraction, "propagate_box", moved)
+        fts = build_abstraction(*case)
+        twin = build_abstraction(grid, inputs, twin_field, case[3])
+        assert fts.stencil is None
+        assert fts.fallback.startswith("input 1, class ")
+        assert twin.fallback is None
+        assert_same_relation(fts, twin, grid)
+
+    def test_synthesis_builds_no_csr_view(self):
+        fts = synthesize(case01_spec()).fts
+        assert fts.stencil is not None and fts.fallback is None
+        assert fts.num_transitions > 0
+        fts.delta(5, 3)
+        assert fts._csr is None  # counts, delta and the solver read the stencils
+        assert fts.succ.size == fts.num_transitions
+        assert fts._csr is not None

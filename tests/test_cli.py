@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.agents import write_script
+from gridsynth.bench import fixtures_dir
 from gridsynth.cli import main
 
 from conftest import (
@@ -32,14 +34,14 @@ def controller_file(tmp_path_factory, spec_file):
     return out
 
 
-def run_cli(*argv):
+def run_cli(*argv, stdin=None):
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     src = str(Path(gs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "gridsynth.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, stdin=stdin,
     )
 
 
@@ -57,6 +59,13 @@ class TestSynth:
         assert main(["synth", str(spec_file), "-o", str(out),
                      "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<?xml")
+
+    def test_warnings_are_printed_on_stderr(self, tmp_path):
+        spec = fixtures_dir() / "case14_river_crossing" / "spec.json"
+        proc = run_cli("synth", str(spec), "-o", str(tmp_path / "c14.txt"))
+        assert proc.returncode == 1, proc.stderr
+        assert ("warning: no initial cell is winning for stage 0 (EmptyWinningSet)\n"
+                in proc.stderr)
 
     def test_bad_spec_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -271,4 +280,31 @@ class TestUnreadableFiles:
                        "-o", str(tmp_path / "report"))
         assert proc.returncode == 1, proc.stderr
         assert f"error: cannot read case file {case_dir / 'spec.json'}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_stdin_is_a_usage_error_not_a_traceback(self, tmp_path):
+        raw = tmp_path / "raw.bin"
+        raw.write_bytes(b"\xff\xfe")
+        script = tmp_path / "script.txt"
+        write_script(["unused"], script)
+        with raw.open("rb") as stdin:
+            proc = run_cli("nl2spec", "--nl", "-", "--mock", str(script), stdin=stdin)
+        assert proc.returncode == 2, proc.stderr
+        assert "usage error: standard input is not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_invalid_case_spec_names_its_file(self, tmp_path):
+        case_dir = tmp_path / "cases" / "case01_warehouse_crate"
+        shutil.copytree(fixtures_dir() / case_dir.name, case_dir)
+        doc = json.loads((case_dir / "spec.json").read_text())
+        doc["tau"] = -1
+        (case_dir / "spec.json").write_text(json.dumps(doc))
+        script = tmp_path / "script.txt"
+        write_script(["unused"], script)
+        proc = run_cli("eval", "--strategy", "code_agent_only",
+                       "--cases", str(tmp_path / "cases"), "--mock", str(script),
+                       "-o", str(tmp_path / "report"))
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: {case_dir / 'spec.json'}: " in proc.stderr
+        assert "tau" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Write the program's deterministic outputs into the directory OUT:
 #   <case>.txt        the controller table of each of the 20 shipped fixtures
+#   <case>.counts     the count lines of the fixture's synth summary (abstract
+#                     states, inputs, transitions, winning fraction)
 #   <case>.csv        a closed loop from the fixture's initial state
 #   exit_codes.txt    the exit code of each synth and simulate command
 #   case06.svg        case06's scene with its winning set
@@ -25,8 +27,12 @@ export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 : > "$out/exit_codes.txt"
 for d in src/gridsynth/fixtures/cases/*/; do
   c=$(basename "$d")
-  python3 -m gridsynth.cli synth "$d/spec.json" -o "$out/$c.txt"
+  python3 -m gridsynth.cli synth "$d/spec.json" -o "$out/$c.txt" 2> "$out/$c.err"
   synth=$?
+  cat "$out/$c.err" >&2
+  grep -E '^(abstract states|inputs|transitions|winning fraction)' "$out/$c.err" \
+    > "$out/$c.counts"
+  rm "$out/$c.err"
   python3 -m gridsynth.cli simulate "$d/spec.json" "$out/$c.txt" -o "$out/$c.csv"
   echo "$c synth $synth simulate $?" >> "$out/exit_codes.txt"
 done
