@@ -17,20 +17,23 @@ input), so one box per class and each pair's blocked flag and successor
 count describe the whole relation.  The build checks that every cell of
 every class agrees on its box; if one does not, it falls back to the CSR
 store and records why.
+
+Boxes become cell ranges and flat ids through the lattice code of geometry
+(UniformGrid.overlap_range, _clip, _expand), the same path that labels the
+spec's obstacles, targets and initial set.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VectorField, propagate_box
+from .dynamics import VectorField, image_radius, integrate_path
 from .errors import EmptyInputSet, EmptyTarget, GeometryError
-from .geometry import SNAP_TOL, HyperRect, UniformGrid, snap
+from .geometry import SNAP_TOL, HyperRect, UniformGrid, _clip, _expand, _strides, snap
 
 
 def build_input_grid(input_bounds: HyperRect, eta_u) -> np.ndarray:
@@ -90,11 +93,6 @@ def _index_dtype(max_value: int):
     return np.int32 if max_value < 2**31 else np.int64
 
 
-def _strides(shape) -> np.ndarray:
-    """Row-major strides of a lattice: flat id = multi-index @ strides."""
-    return np.array([int(np.prod(shape[i + 1 :])) for i in range(len(shape))], dtype=np.int64)
-
-
 # --- successor boxes -------------------------------------------------------------
 
 
@@ -109,66 +107,15 @@ def _cell_ranges(grid: UniformGrid, endc, radius):
     finite = np.all(np.isfinite(endc), axis=1)
     nonfinite = int(np.sum(~finite))
     endc = np.where(finite[:, None], endc, 0.0)
-    lower = grid.bounds.lower
-    upper = grid.bounds.upper
     box_lo = endc - radius
     box_hi = endc + radius
     exits = np.any(
         ~np.array(grid.periodic)
-        & ((box_lo < lower - SNAP_TOL) | (box_hi > upper + SNAP_TOL)),
+        & ((box_lo < grid.bounds.lower - SNAP_TOL) | (box_hi > grid.bounds.upper + SNAP_TOL)),
         axis=1,
     )
-    v_lo = snap((box_lo - lower) / grid.eta)
-    v_hi = snap((box_hi - lower) / grid.eta)
-    k_min = np.ceil(v_lo - 1.0).astype(np.int64)
-    k_max = np.floor(v_hi).astype(np.int64)
+    k_min, k_max = grid.overlap_range(box_lo, box_hi)
     return exits | ~finite, k_min, k_max, nonfinite
-
-
-def _clip(k_min, k_max, blocked, shape, periodic):
-    """Clip index ranges to a lattice: (first index, span, cell count) per row.
-
-    Periodic dimensions wrap (the span is clipped to a full revolution), the
-    others clamp; a blocked row counts no cells.
-    """
-    first = np.where(periodic, k_min, np.maximum(k_min, 0))
-    last = np.minimum(k_max, np.where(periodic, k_min, 0) + (shape - 1))
-    span = np.maximum(last - first + 1, 0)
-    counts = np.where(blocked, 0, np.prod(span, axis=1))
-    return first, span, counts
-
-
-def _expand(k_min, span, counts, shape, periodic, dtype):
-    """Flat ids of the clipped boxes of _clip, row after row, each row sorted."""
-    n = len(shape)
-    strides = _strides(shape)
-    offsets = np.cumsum(counts) - counts
-    flat = np.empty(int(counts.sum()), dtype=dtype)
-
-    # A periodic dimension lists its cyclic interval a, a+1, ... (mod N) in
-    # ascending order: the w values that wrap past N come first as
-    # 0..w-1, then a..N-1.  So the d-th value is a + d - (a if d < w else
-    # w), and the row-major product of the per-dimension lists is sorted.
-    a = np.where(periodic, k_min % shape, k_min)
-    w = np.where(periodic, np.maximum(a + span - shape, 0), 0)
-    base = a @ strides
-    # rows with the same span share one offset stencil
-    live = np.flatnonzero(counts)
-    keys, group = np.unique(
-        np.ravel_multi_index(span[live].T, shape + 1), return_inverse=True
-    )
-    for g, key in enumerate(keys):
-        rows = live[group == g]
-        digits = np.indices(np.unravel_index(key, shape + 1)).reshape(n, -1)
-        block = (base[rows, None] + (strides @ digits)[None, :]).astype(dtype)
-        for i in np.flatnonzero(periodic):
-            wrap = np.flatnonzero(w[rows, i])
-            if wrap.size:
-                ai = a[rows[wrap], i, None]
-                wi = w[rows[wrap], i, None]
-                block[wrap] -= np.where(digits[i] < wi, ai, wi) * strides[i]
-        flat[offsets[rows, None] + np.arange(digits.shape[1])] = block
-    return flat
 
 
 class StencilStore:
@@ -368,8 +315,6 @@ class FiniteTransitionSystem:
         indptr: np.ndarray = None,  # int64, length num_states * num_inputs + 1
         succ: np.ndarray = None,  # _index_dtype(num_states)
         blocked: np.ndarray = None,  # bool, length num_states * num_inputs
-        eta: np.ndarray = None,
-        tau: float = 0.0,
         nonfinite_pairs: int = 0,
         stencil: StencilStore = None,
         fallback: str = None,
@@ -377,8 +322,6 @@ class FiniteTransitionSystem:
         self.num_states = num_states
         self.num_inputs = num_inputs
         self.blocked = blocked
-        self.eta = eta
-        self.tau = tau
         self.nonfinite_pairs = nonfinite_pairs
         self.stencil = stencil
         self.fallback = fallback
@@ -492,8 +435,10 @@ def build_abstraction(
     merge in input order, i.e. pair-id order, so the relation is the same
     bytes for any pool size.  Every task in flight holds one input block's
     temporaries (the RK4 path of all cells is the largest), which bounds the
-    pool.  Each input's box images come from propagate_box; a pair whose
-    image is non-finite is blocked and counted in nonfinite_pairs.
+    pool.  The image radius of a cell box is the same for every pair, so it
+    is computed once, before the pool; each task integrates its input's
+    cell centers (the two halves of propagate_box).  A pair whose image is
+    non-finite is blocked and counted in nonfinite_pairs.
 
     For a field that declares invariant_dims, integrate_path evaluates f
     once per distinct remaining coordinate of the cell centers (once per
@@ -515,12 +460,13 @@ def build_abstraction(
     shape = np.array(grid.shape, dtype=np.int64)
     periodic = np.array(grid.periodic, dtype=bool)
     store = StencilStore(grid, f.invariant_dims) if f.invariant_dims and U else None
+    radius = image_radius(f, grid.eta / 2.0, tau)
 
     def task(item):
         """One input: (class boxes or successors, counts, blocked, non-finite pairs, fallback)."""
         u, u_vec = item
-        endc, new_radius = propagate_box(f, centers, grid.eta / 2.0, u_vec, tau)
-        blocked, k_min, k_max, nonfinite = _cell_ranges(grid, endc, new_radius)
+        endc = integrate_path(f, centers, u_vec, tau)[-1]
+        blocked, k_min, k_max, nonfinite = _cell_ranges(grid, endc, radius)
         k_lo, span, counts = _clip(k_min, k_max, blocked, shape, periodic)
         why = None
         if store is not None:
@@ -549,8 +495,6 @@ def build_abstraction(
         num_states=S,
         num_inputs=U,
         blocked=blocked_all,
-        eta=grid.eta,
-        tau=float(tau),
         nonfinite_pairs=nonfinite_pairs,
     )
     if store is not None and fallback is None:
@@ -593,16 +537,8 @@ def _point_cells(grid: UniformGrid, point: np.ndarray):
     """Cells of a possibly low-dimensional point (all layers of free dimensions)."""
     point = np.asarray(point, dtype=float)
     d = point.size
-    if d == grid.n:
-        return {grid.cell_of(point).flat_id}
-    partial = grid.cell_of(
-        np.concatenate([point, grid.bounds.lower[d:] + grid.eta[d:] / 2])
-    ).multi_index[:d]
-    free_axes = [range(grid.shape[i]) for i in range(d, grid.n)]
-    return {
-        int(np.dot(partial + rest, grid._strides))
-        for rest in itertools.product(*free_axes)
-    }
+    k = grid.cell_of(np.concatenate([point, grid.bounds.lower[d:]])).multi_index
+    return grid.cells_between(k, k[:d] + tuple(s - 1 for s in grid.shape[d:]))
 
 
 def label_cells(grid: UniformGrid, spec) -> LabeledCells:

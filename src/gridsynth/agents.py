@@ -77,14 +77,12 @@ def extract_code_block(response: str) -> str | None:
 class MockClient:
     """Deterministic replay client.
 
-    Responses are either consumed in order from a scripted list, or looked up
-    by the sha256 of the prompt when a keyed map is given.  Exhausting the
+    Responses are consumed in order from a scripted list.  Exhausting the
     script raises ClientError; nothing here is random.
     """
 
-    def __init__(self, responses=None, keyed=None):
+    def __init__(self, responses=None):
         self.responses = list(responses or [])
-        self.keyed = dict(keyed or {})
         self.prompts = []
         self._cursor = 0
 
@@ -99,9 +97,6 @@ class MockClient:
 
     def complete(self, prompt: str, temperature: float = 0.0, seed=None) -> str:
         self.prompts.append(prompt)
-        key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        if key in self.keyed:
-            return self.keyed[key]
         if self._cursor >= len(self.responses):
             raise ClientError("mock script exhausted")
         out = self.responses[self._cursor]

@@ -221,18 +221,25 @@ def growth_factor(vf: VectorField, tau: float) -> np.ndarray:
     return expm(vf.growth_matrix * tau)
 
 
+def image_radius(vf: VectorField, radius, tau: float) -> np.ndarray:
+    """Radius of the image of any box with the given radius: exp(L tau) * radius.
+
+    Inflated by one ulp per component to preserve containment under
+    floating-point rounding.
+    """
+    radius = np.asarray(radius, dtype=float)
+    if np.any(radius < 0):
+        raise GeometryError("radius must be non-negative")
+    return np.nextafter(growth_factor(vf, tau) @ radius, np.inf)
+
+
 def propagate_box(vf: VectorField, center, radius, u, tau, substeps=SUBSTEPS):
     """Sound image of the box center +- radius under the sampled flow.
 
     center may be a single state (n,) or an (N, n) batch of centers sharing
     one radius.  Returns (center', radius') with center' the RK4 endpoint of
-    each center (non-finite rows are returned as they are) and
-    radius' = exp(L tau) * radius, inflated by one ulp per component to
-    preserve containment under floating-point rounding.
+    each center (non-finite rows are returned as they are) and radius' the
+    image_radius.
     """
-    radius = np.asarray(radius, dtype=float)
-    if np.any(radius < 0):
-        raise GeometryError("radius must be non-negative")
-    new_center = integrate_path(vf, center, u, tau, substeps)[-1]
-    new_radius = np.nextafter(growth_factor(vf, tau) @ radius, np.inf)
-    return new_center, new_radius
+    new_radius = image_radius(vf, radius, tau)
+    return integrate_path(vf, center, u, tau, substeps)[-1], new_radius

@@ -4,11 +4,16 @@ The grid partitions its bounding box into half-open cells
 ``[center - eta/2, center + eta/2)`` per dimension, so every point of the
 (half-open) box maps to exactly one cell.  Obstacle marking uses closed
 intersection instead, which keeps the abstraction conservative.
+
+This module owns the lattice code: every map from boxes to cells goes
+through UniformGrid.overlap_range (or the containment rounding of
+cells_contained) to per-dimension index ranges, and through _clip and
+_expand to flat ids.  The abstraction's successor boxes and the spec
+labels share that path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,6 +190,60 @@ def rect_from_encoding(encoding: RectEncoding) -> HyperRect:
     raise GeometryError(f"unknown rectangle encoding {type(encoding).__name__}")
 
 
+# --- lattice index arithmetic ---------------------------------------------------
+
+
+def _strides(shape) -> np.ndarray:
+    """Row-major strides of a lattice: flat id = multi-index @ strides."""
+    return np.array([int(np.prod(shape[i + 1 :])) for i in range(len(shape))], dtype=np.int64)
+
+
+def _clip(k_min, k_max, blocked, shape, periodic):
+    """Clip index ranges to a lattice: (first index, span, cell count) per row.
+
+    Periodic dimensions wrap (the span is clipped to a full revolution), the
+    others clamp; a blocked row counts no cells.
+    """
+    first = np.where(periodic, k_min, np.maximum(k_min, 0))
+    last = np.minimum(k_max, np.where(periodic, k_min, 0) + (shape - 1))
+    span = np.maximum(last - first + 1, 0)
+    counts = np.where(blocked, 0, np.prod(span, axis=1))
+    return first, span, counts
+
+
+def _expand(k_min, span, counts, shape, periodic, dtype):
+    """Flat ids of the clipped boxes of _clip, row after row, each row sorted."""
+    n = len(shape)
+    strides = _strides(shape)
+    offsets = np.cumsum(counts) - counts
+    flat = np.empty(int(counts.sum()), dtype=dtype)
+
+    # A periodic dimension lists its cyclic interval a, a+1, ... (mod N) in
+    # ascending order: the w values that wrap past N come first as
+    # 0..w-1, then a..N-1.  So the d-th value is a + d - (a if d < w else
+    # w), and the row-major product of the per-dimension lists is sorted.
+    a = np.where(periodic, k_min % shape, k_min)
+    w = np.where(periodic, np.maximum(a + span - shape, 0), 0)
+    base = a @ strides
+    # rows with the same span share one offset stencil
+    live = np.flatnonzero(counts)
+    keys, group = np.unique(
+        np.ravel_multi_index(span[live].T, shape + 1), return_inverse=True
+    )
+    for g, key in enumerate(keys):
+        rows = live[group == g]
+        digits = np.indices(np.unravel_index(key, shape + 1)).reshape(n, -1)
+        block = (base[rows, None] + (strides @ digits)[None, :]).astype(dtype)
+        for i in np.flatnonzero(periodic):
+            wrap = np.flatnonzero(w[rows, i])
+            if wrap.size:
+                ai = a[rows[wrap], i, None]
+                wi = w[rows[wrap], i, None]
+                block[wrap] -= np.where(digits[i] < wi, ai, wi) * strides[i]
+        flat[offsets[rows, None] + np.arange(digits.shape[1])] = block
+    return flat
+
+
 # --- the uniform grid --------------------------------------------------------
 
 
@@ -243,9 +302,7 @@ class UniformGrid:
         self.shape = tuple(int(s) for s in shape)
         self.n = bounds.dim
         self.num_cells = int(np.prod(shape))
-        self._strides = np.array(
-            [int(np.prod(self.shape[i + 1 :])) for i in range(self.n)], dtype=np.int64
-        )
+        self._strides = _strides(self.shape)
 
     # -- coordinate <-> index maps -------------------------------------------
 
@@ -276,17 +333,6 @@ class UniformGrid:
                 )
             multi.append(k)
         return CellIndex(tuple(multi), int(np.dot(multi, self._strides)))
-
-    def cells_of(self, x):
-        """Vectorized flat-id quantization for an (N, n) batch of in-bounds points."""
-        x = self.wrap(np.asarray(x, dtype=float))
-        k = np.floor((x - self.bounds.lower) / self.eta).astype(np.int64)
-        for i, per in enumerate(self.periodic):
-            if per:
-                k[:, i] %= self.shape[i]
-        if np.any(k < 0) or np.any(k >= np.array(self.shape)):
-            raise OutOfBounds("batch quantization hit an out-of-bounds point")
-        return k @ self._strides
 
     def index(self, flat_id: int) -> CellIndex:
         if not 0 <= flat_id < self.num_cells:
@@ -325,41 +371,31 @@ class UniformGrid:
 
     # -- set operations --------------------------------------------------------
 
-    def _axis_range(self, i, lo_val, hi_val, mode):
-        """Per-dimension index list for a [lo_val, hi_val] slab.
+    def _lattice(self, x):
+        """Coordinates of x in cells from the lower corner, snapped to lattice lines."""
+        return snap((x - self.bounds.lower) / self.eta)
 
-        mode 'overlap': cells whose closed box intersects the slab.
-        mode 'contain': cells whose closed box lies inside the slab.
+    def overlap_range(self, lo, hi):
+        """(k_min, k_max): per dimension the first and last cell index whose
+        closed box meets the closed box [lo, hi], before any clipping.
+
+        lo and hi may be (n,) corners or (N, n) batches of them.
         """
-        v_lo = float(snap((lo_val - self.bounds.lower[i]) / self.eta[i]))
-        v_hi = float(snap((hi_val - self.bounds.lower[i]) / self.eta[i]))
-        if mode == "overlap":
-            k_min = math.ceil(v_lo - 1.0)
-            k_max = math.floor(v_hi)
-        else:
-            k_min = math.ceil(v_lo)
-            k_max = math.floor(v_hi - 1.0)
-        size = self.shape[i]
-        if self.periodic[i]:
-            if k_max - k_min + 1 >= size:
-                return list(range(size))
-            return sorted({k % size for k in range(k_min, k_max + 1)})
-        k_min = max(k_min, 0)
-        k_max = min(k_max, size - 1)
-        return list(range(k_min, k_max + 1))
+        k_min = np.ceil(self._lattice(lo) - 1.0).astype(np.int64)
+        k_max = np.floor(self._lattice(hi)).astype(np.int64)
+        return k_min, k_max
 
-    def _cells_by_ranges(self, r: HyperRect, mode):
-        if r.dim != self.n:
-            raise GeometryError("rectangle dimension mismatch with grid")
-        per_dim = [
-            self._axis_range(i, r.lower[i], r.upper[i], mode) for i in range(self.n)
-        ]
-        if any(len(axis) == 0 for axis in per_dim):
-            return set()
-        out = set()
-        for multi in itertools.product(*per_dim):
-            out.add(int(np.dot(multi, self._strides)))
-        return out
+    def cells_between(self, k_min, k_max):
+        """Flat ids of the cells k_min..k_max (inclusive, per dimension).
+
+        Periodic dimensions wrap, the others clamp to the grid.
+        """
+        shape = np.array(self.shape, dtype=np.int64)
+        periodic = np.array(self.periodic, dtype=bool)
+        first, span, counts = _clip(
+            np.atleast_2d(k_min), np.atleast_2d(k_max), False, shape, periodic
+        )
+        return set(_expand(first, span, counts, shape, periodic, np.int64).tolist())
 
     def cells_overlapping(self, r: HyperRect):
         """Flat ids of all cells whose closed box intersects the closed rect r.
@@ -367,9 +403,14 @@ class UniformGrid:
         Boundary touching counts, which is the conservative direction for
         obstacle marking.  An empty intersection yields an empty set.
         """
-        return self._cells_by_ranges(r, "overlap")
+        if r.dim != self.n:
+            raise GeometryError("rectangle dimension mismatch with grid")
+        return self.cells_between(*self.overlap_range(r.lower, r.upper))
 
     def cells_contained(self, r: HyperRect):
         """Flat ids of cells whose closed box is entirely inside r (target labeling)."""
-        return self._cells_by_ranges(r, "contain")
-
+        if r.dim != self.n:
+            raise GeometryError("rectangle dimension mismatch with grid")
+        k_min = np.ceil(self._lattice(r.lower)).astype(np.int64)
+        k_max = np.floor(self._lattice(r.upper) - 1.0).astype(np.int64)
+        return self.cells_between(k_min, k_max)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionMismatch, GeometryError, SchemaError
+from .errors import DimensionMismatch, GeometryError, OutOfBounds, SchemaError
 from .geometry import (
     CenterAndSides,
     FourVertices,
@@ -66,7 +66,8 @@ class ProblemSpec:
     """Reach-avoid problem description.
 
     obstacles/targets hold the original encodings as written.  Construction
-    checks them against the state bounds and the grid (GeometryError) and
+    checks them and the initial set against the state bounds and the grid
+    (GeometryError; an initial point must lie in a grid cell) and
     derives the *_rects fields: obstacles sorted, their copies inflated by
     the clearance (inf-norm Minkowski sum, clipped to bounds), targets in
     visit order.
@@ -108,7 +109,15 @@ class ProblemSpec:
         if not self.clearance >= 0:
             raise GeometryError("clearance must be non-negative")
         # grid consistency (divisibility; periodic eta is snapped, not rejected)
-        self.build_grid()
+        grid = self.build_grid()
+        if self.initial_point is not None:
+            # cells are half-open: no cell holds a point on a non-periodic
+            # upper face (a periodic coordinate wraps)
+            d = len(self.initial_point)
+            try:
+                grid.cell_of(np.concatenate([self.initial_point, bounds.lower[d:]]))
+            except OutOfBounds as exc:
+                raise GeometryError(f"initial point in no grid cell: {exc}") from None
 
         obstacles.sort(key=lambda r: (tuple(r.lower), tuple(r.upper)))
         c = self.clearance

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gridsynth as gs
-from gridsynth import abstraction
+from gridsynth import abstraction, dynamics
 from gridsynth.abstraction import (
     FiniteTransitionSystem,
     _index_dtype,
@@ -164,6 +164,16 @@ class TestLabelCells:
     def test_initial_point_single_cell(self, bicycle_result):
         assert len(bicycle_result.labels.initial_cells) == 1
 
+    def test_2d_initial_point_takes_every_heading(self, bicycle_result):
+        grid = bicycle_result.grid
+        lower = grid.all_centers()[:, :2] - grid.eta[:2] / 2
+        rng = np.random.default_rng(5)
+        for point in rng.uniform(grid.bounds.lower[:2], grid.bounds.upper[:2], (20, 2)):
+            got = label_cells(grid, self._stub([], [], point)).initial_cells
+            inside = np.all((lower <= point) & (point < lower + grid.eta[:2]), axis=1)
+            assert got == set(np.flatnonzero(inside).tolist())
+            assert len(got) == grid.shape[2]
+
     @staticmethod
     def _stub(obstacles, targets, initial_point):
         class Stub:
@@ -315,6 +325,21 @@ class TestPool:
             for got, want in zip(fts.reverse(), first.reverse()):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["periodic-wrap", "invariant-dims"])
+    def test_image_radius_computed_once_per_build(self, name, monkeypatch):
+        monkeypatch.setattr(abstraction, "_cpu_count", lambda: 2)
+        calls = []
+        real = dynamics.growth_factor
+
+        def counted(vf, tau):
+            calls.append(tau)
+            return real(vf, tau)
+
+        monkeypatch.setattr(dynamics, "growth_factor", counted)
+        case = pool_case(name)
+        build_abstraction(*case)
+        assert len(case[1]) > 1 and calls == [case[3]]
+
     def test_fields_are_evaluated_on_several_threads(self, monkeypatch):
         monkeypatch.setattr(abstraction, "_cpu_count", lambda: 2)
         seen = set()
@@ -411,17 +436,16 @@ class TestStencilStore:
     def test_disagreeing_class_falls_back_to_csr(self, monkeypatch):
         case, twin_field = stencil_case("periodic-wrap", (0, 2))
         grid, inputs = case[0], case[1]
-        real = abstraction.propagate_box
+        real = abstraction.integrate_path
 
-        def moved(vf, center, radius, u, tau):
+        def moved(f, x0, u, tau):
             # under input 1 one cell's image lands a cell further in dim 0
-            endc, new_radius = real(vf, center, radius, u, tau)
+            path = real(f, x0, u, tau)
             if np.array_equal(u, inputs[1]):
-                endc = endc.copy()
-                endc[7, 0] += grid.eta[0]
-            return endc, new_radius
+                path[-1, 7, 0] += grid.eta[0]
+            return path
 
-        monkeypatch.setattr(abstraction, "propagate_box", moved)
+        monkeypatch.setattr(abstraction, "integrate_path", moved)
         fts = build_abstraction(*case)
         twin = build_abstraction(grid, inputs, twin_field, case[3])
         assert fts.stencil is None

@@ -135,7 +135,7 @@ def test_criterion_3_abstraction_soundness(bicycle_spec, bicycle_result):
                           size=(1000, 3))
         ends = gs.integrate(BICYCLE, pts, inputs[u], bicycle_spec.tau,
                             substeps=5)
-        landed = grid.cells_of(grid.wrap(ends))
+        landed = [grid.cell_of(x).flat_id for x in ends]
         misses += int(np.sum(~np.isin(landed, list(succ))))
     report(
         3,

@@ -74,6 +74,15 @@ class TestSynth:
         assert main(["synth", str(bad), "-o", str(out)]) == 1
         assert "missing keys" in capsys.readouterr().err
 
+    def test_initial_point_in_no_cell_exits_1(self, tmp_path, capsys):
+        doc = json.loads((fixtures_dir() / "case07_open_field" / "spec.json").read_text())
+        doc["initial"] = {"point": [4.0, 0.5, 0.0]}
+        bad = tmp_path / "edge.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["synth", str(bad), "-o", str(tmp_path / "x.txt")]) == 1
+        assert "initial point in no grid cell" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path / "x.txt")]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -88,12 +89,25 @@ class TestCenterOf:
 
 
 class TestCellsOverlapping:
-    def brute_force(self, g, r):
-        return {
-            c
-            for c in range(g.num_cells)
-            if g.cell_box(c).intersects(r, tol=1e-12)
-        }
+    @staticmethod
+    def brute_force(g, r, mode="overlap"):
+        """Cells whose closed box, moved by any whole revolution in the
+        periodic dimensions, meets r (overlap) or lies inside it (contain)."""
+        width = np.where(g.periodic, g.bounds.upper - g.bounds.lower, 0.0)
+        shifts = [
+            np.array(k) * width
+            for k in itertools.product(*[(-1, 0, 1) if p else (0,) for p in g.periodic])
+        ]
+        box_lo = g.all_centers() - g.eta / 2
+        box_hi = g.all_centers() + g.eta / 2
+        hit = np.zeros(g.num_cells, dtype=bool)
+        for shift in shifts:
+            lo, hi = box_lo + shift, box_hi + shift
+            if mode == "overlap":
+                hit |= np.all((lo <= r.upper + 1e-12) & (r.lower <= hi + 1e-12), axis=1)
+            else:
+                hit |= np.all((lo >= r.lower - 1e-12) & (hi <= r.upper + 1e-12), axis=1)
+        return set(np.flatnonzero(hit).tolist())
 
     def test_one_cell_box_includes_touching_neighbors(self):
         g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [1.0, 1.0])
@@ -115,13 +129,27 @@ class TestCellsOverlapping:
         assert g.cells_overlapping(gs.HyperRect([10.0], [11.0])) == set()
 
     def test_random_rects_match_brute_force(self):
-        g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [0.5, 0.5])
+        grids = [
+            gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [0.5, 0.5]),
+            gs.UniformGrid(
+                gs.HyperRect([0, 0, -math.pi], [2, 1.5, math.pi]),
+                [0.5, 0.25, math.pi / 4], [False, False, True],
+            ),
+            gs.UniformGrid(
+                gs.HyperRect([0, -1, 0], [1.5, 1, 2]), [0.5, 0.4, 0.25], [True, True, True]
+            ),
+        ]
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.uniform(0, 4, size=2)
-            b = rng.uniform(0, 4, size=2)
-            r = gs.HyperRect(np.minimum(a, b), np.maximum(a, b))
-            assert g.cells_overlapping(r) == self.brute_force(g, r)
+        for g, aligned in itertools.product(grids, (False, True)):
+            lo, hi = g.bounds.lower, g.bounds.upper
+            for _ in range(40):
+                if aligned:  # corners on lattice lines, k * eta from the lower corner
+                    a, b = lo + rng.integers(0, np.array(g.shape) + 1, size=(2, g.n)) * g.eta
+                else:
+                    a, b = rng.uniform(lo, hi, size=(2, g.n))
+                r = gs.HyperRect(np.minimum(a, b), np.maximum(a, b))
+                assert g.cells_overlapping(r) == self.brute_force(g, r)
+                assert g.cells_contained(r) == self.brute_force(g, r, "contain")
 
 
 class TestRectFromEncoding:
@@ -182,11 +210,8 @@ def test_quantization_soundness_bulk():
     g = gs.UniformGrid(gs.HyperRect([0, 0, -1], [4, 4, 1]), [0.2, 0.4, 0.5])
     rng = np.random.default_rng(11)
     pts = rng.uniform(g.bounds.lower, g.bounds.upper - 1e-12, size=(10_000, 3))
-    ids = g.cells_of(pts)
-    centers = np.array([g.center_of(int(i)) for i in np.unique(ids)])
-    lut = {int(i): c for i, c in zip(np.unique(ids), centers)}
-    for p, i in zip(pts, ids):
-        assert np.all(np.abs(p - lut[int(i)]) <= g.eta / 2 + 1e-12)
+    for p in pts:
+        assert np.all(np.abs(p - g.center_of(g.cell_of(p))) <= g.eta / 2 + 1e-12)
 
 
 def test_partition_no_overlap_no_gap():

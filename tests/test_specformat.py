@@ -121,6 +121,25 @@ class TestParse:
         assert spec.initial_point is None
         assert spec.initial_rect is not None
 
+    @pytest.mark.parametrize("point", [
+        [4.0, 0.5, 0.0],  # the closed upper face of a non-periodic dimension
+        [0.5, 4.0],
+        [-1e-10, 0.5, 0.0],  # inside the old 1e-9 tolerance
+    ], ids=["upper-face", "2d-upper-face", "below-lower"])
+    def test_initial_point_in_no_cell_rejected(self, point):
+        d = doc()
+        d["initial"] = {"point": point}
+        with pytest.raises(GeometryError, match="initial point"):
+            parse_doc(d)
+
+    def test_initial_point_on_periodic_upper_face_wraps(self):
+        d = doc()
+        d["initial"] = {"point": [0.5, 0.5, math.pi]}
+        spec = parse_doc(d)
+        grid = spec.build_grid()
+        cells = gs.label_cells(grid, spec).initial_cells
+        assert cells == {grid.cell_of([0.5, 0.5, -math.pi]).flat_id}
+
 
 class TestRoundTrip:
     def test_serialize_parse_round_trip(self):

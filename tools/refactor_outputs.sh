@@ -3,7 +3,9 @@
 #   <case>.txt        the controller table of each of the 20 shipped fixtures
 #   <case>.counts     the count lines of the fixture's synth summary (abstract
 #                     states, inputs, transitions, winning fraction)
-#   <case>.csv        a closed loop from the fixture's initial state
+#   <case>.labels     the sorted obstacle, per-stage target and initial cell
+#                     ids that label_cells gives the fixture
+#   <case>.csv       a closed loop from the fixture's initial state
 #   exit_codes.txt    the exit code of each synth and simulate command
 #   case06.svg        case06's scene with its winning set
 #   demo03.txt        the harness demo's report, without its first line
@@ -33,6 +35,21 @@ for d in src/gridsynth/fixtures/cases/*/; do
   grep -E '^(abstract states|inputs|transitions|winning fraction)' "$out/$c.err" \
     > "$out/$c.counts"
   rm "$out/$c.err"
+  python3 - "$d/spec.json" > "$out/$c.labels" <<'PY'
+import sys
+from pathlib import Path
+
+from gridsynth.abstraction import label_cells
+from gridsynth.specformat import parse_spec
+
+spec = parse_spec(Path(sys.argv[1]).read_text())
+labels = label_cells(spec.build_grid(), spec)
+rows = [("obstacle", labels.obstacle_cells)]
+rows += [(f"target {i}", cells) for i, cells in enumerate(labels.target_stages)]
+rows += [("initial", labels.initial_cells)]
+for name, cells in rows:
+    print(f"{name}:", *sorted(cells))
+PY
   python3 -m gridsynth.cli simulate "$d/spec.json" "$out/$c.txt" -o "$out/$c.csv"
   echo "$c synth $synth simulate $?" >> "$out/exit_codes.txt"
 done
