@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
+import json
 import os
 import re
+import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
-
-import requests
 
 from .errors import ClientError, GridSynthError
 from .specformat import ProblemSpec, parse_spec
@@ -115,10 +116,12 @@ def write_script(responses, path):
 
 
 class HttpClient:
-    """Chat-completion client over HTTPS.
+    """Chat-completion client over HTTPS (urllib, no third-party transport).
 
     Temperature 0 and a fixed seed by default to minimize output variance;
-    retries are bounded and never silent.
+    retries are bounded and never silent: an HTTP error status, a transport
+    error or timeout, a body that is not JSON and a reply without a choice
+    are each retried, and after max_retries + 1 attempts raise ClientError.
     """
 
     def __init__(
@@ -140,7 +143,6 @@ class HttpClient:
         self.seed = seed
         self.max_retries = max_retries
         self.timeout = timeout
-        self.raw_log = []
 
     def complete(self, prompt: str, temperature=None, seed=None) -> str:
         body = {
@@ -151,20 +153,22 @@ class HttpClient:
         s = self.seed if seed is None else seed
         if s is not None:
             body["seed"] = s
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps(body).encode("utf-8"),
+            headers={
+                "Authorization": f"Bearer {self.api_key}",
+                "Content-Type": "application/json",
+            },
+            method="POST",
+        )
         last_err = None
         for _ in range(self.max_retries + 1):
             try:
-                resp = requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=body,
-                    headers={"Authorization": f"Bearer {self.api_key}"},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                payload = resp.json()
-                self.raw_log.append((body, payload))
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    payload = json.loads(resp.read())
                 return payload["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+            except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:
                 last_err = exc
         raise ClientError(f"chat completion failed after retries: {last_err}")
 

@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="remote model name")
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("-o", "--output", help="accepted spec output file")
-    p.add_argument("--log-raw", action="store_true")
     p.set_defaults(func=cmd_nl2spec)
 
     p = sub.add_parser("eval", help="run the benchmark harness")

@@ -9,7 +9,9 @@ same increment, so the result equals the plain per-row RK4 float for float.
 Reachable boxes are propagated with a growth-matrix bound: the box center
 follows the exact (numerically integrated) flow while the radius is
 inflated by exp(L * tau), where L bounds the Jacobian magnitude
-componentwise.
+componentwise.  growth_factor computes exp(L * tau) as an entrywise upper
+bound, never rounded below the exact value; for nilpotent L, such as the
+bicycle's, it is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GeometryError, NonFinite
 
@@ -68,7 +69,7 @@ class VectorField:
         )
         if L.shape != (self.dim_state, self.dim_state):
             raise GeometryError("growth matrix must be n x n")
-        if np.any(L < 0):
+        if not np.all(L >= 0):
             raise GeometryError("growth matrix entries must be non-negative")
         L.setflags(write=False)
         object.__setattr__(self, "growth_matrix", L)
@@ -216,9 +217,63 @@ def integrate(f, x0, u, tau, substeps=SUBSTEPS):
     return x
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _nonneg_matmul(x, y):
+    """x @ y for non-negative x and y, reading inf * 0 as 0 (not nan)."""
+    out = np.where(np.isinf(x), 0.0, x) @ np.where(np.isinf(y), 0.0, y)
+    out[(np.isinf(x) @ (y > 0)) | ((x > 0) @ np.isinf(y))] = np.inf
+    return out
+
+
 def growth_factor(vf: VectorField, tau: float) -> np.ndarray:
-    """exp(L * tau) for the field's growth matrix."""
-    return expm(vf.growth_matrix * tau)
+    """An entrywise upper bound on exp(A) for the float matrix A = L * tau.
+
+    A is non-negative, so every Taylor term T_k = A^k / k! is too and the
+    series has no cancellation.  Terms are added with the exact rounding
+    error of each addition carried along, until a bound on the rest of the
+    series is below an ulp of every entry of the sum.  Once k + 1 >= 2 a_i,
+    with a_i the largest row sum of A over the rows that row i reaches, row
+    i of the rest is at most 2 T_k P, P being the reachability pattern of A.
+    To the sum come that bound and a bound on the rounding of the terms,
+    and where either is non-zero the entry is rounded up by one more ulp.
+    The rounding bounds are relative, so they hold while no term underflows.
+
+    For nilpotent L the series ends and the result is exact whenever its
+    sums are; for the bicycle it is I + L * tau bit for bit.  An entry
+    whose value overflows is inf.
+    """
+    A = vf.growth_matrix * tau
+    if not np.all(A >= 0):
+        raise GeometryError("growth matrix times tau must be non-negative")
+    n = len(A)
+    reach = np.eye(n, dtype=bool) | (A > 0)
+    for _ in range(n):
+        reach = reach | (reach @ reach)
+    a = np.where(reach, A.sum(axis=1), 0.0).max(axis=1, initial=0.0)[:, None]
+    P = reach.astype(float)
+    total, carry, lost, term_err = np.eye(n), np.zeros((n, n)), np.zeros((n, n)), 0.0
+    term, k = A, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            spread = _nonneg_matmul(term, P)
+            rest = np.where(spread == 0, 0.0, np.where(k + 1 >= 2 * a, 2 * spread, np.inf))
+            if np.all((rest <= _UNIT_ROUNDOFF * total) | np.isinf(total)):
+                break
+            new = total + term
+            back = new - total
+            err = np.where(np.isinf(new), 0.0, (total - (new - back)) + (term - back))
+            carry, lost = carry + err, lost + np.abs(err)
+            if k > 1:
+                term_err = term_err + ((k - 1) * _UNIT_ROUNDOFF) * term
+            total, k = new, k + 1
+            term = _nonneg_matmul(term, A / k)
+        # lost bounds the rounding of carry's own sum; the 2^-20 covers that
+        # of the margin's arithmetic (both are second order).
+        margin = rest + (n + 1) * term_err + (k + 2) * _UNIT_ROUNDOFF * lost
+        out = total + (carry + margin * (1.0 + 2.0**-20))
+    return np.where(margin > 0, np.nextafter(out, np.inf), out)
 
 
 def image_radius(vf: VectorField, radius, tau: float) -> np.ndarray:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, GeometryError, OutOfBounds, SchemaError
 from .geometry import (
@@ -380,6 +379,51 @@ def _rect_distance(a: HyperRect, b: HyperRect) -> float:
     )
 
 
+def _min_cost_assignment(cost):
+    """(row, column) pairs of a minimum-cost assignment, sorted by row.
+
+    cost is a list of r rows of c finite floats; min(r, c) pairs are made.
+    Shortest augmenting paths with dual potentials (the Hungarian method),
+    O(r^2 c) with r <= c; a taller matrix is solved transposed.  Tie rule:
+    rows enter in index order, and each search grows its tree by the
+    unvisited column of least reduced distance, the lowest index among
+    equals.  So the pairs are a function of the matrix alone, and can
+    differ from another solver's only where optimal assignments tie.
+    """
+    flip = len(cost) > len(cost[0])
+    if flip:
+        cost = [list(col) for col in zip(*cost)]
+    n, m = len(cost), len(cost[0])
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    owner = [0] * (m + 1)  # 1-based row holding each column; column 0 is the root
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        dist, prev, seen = [math.inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while owner[j0]:
+            seen[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            row, ui = cost[i0 - 1], u[i0]
+            for j in range(1, m + 1):
+                if not seen[j]:
+                    d = row[j - 1] - ui - v[j]
+                    if d < dist[j]:
+                        dist[j], prev[j] = d, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if seen[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[prev[j0]]
+            j0 = prev[j0]
+    pairs = [(owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j]]
+    return sorted((j, i) for i, j in pairs) if flip else sorted(pairs)
+
+
 def _rect_str(r: HyperRect) -> str:
     return f"[{', '.join(f'{v:g}' for v in r.lower)}] .. [{', '.join(f'{v:g}' for v in r.upper)}]"
 
@@ -491,21 +535,19 @@ def semantic_diff(
     # obstacles: nearest-pair assignment on the sorted rects
     ro, co = reference.obstacle_rects, candidate.obstacle_rects
     if ro and co:
-        cost = np.array([[_rect_distance(a, b) for b in co] for a in ro])
-        cost = np.where(np.isfinite(cost), cost, 1e18)
-        rows, cols = linear_sum_assignment(cost)
+        cost = [[min(_rect_distance(a, b), 1e18) for b in co] for a in ro]
         matched_r, matched_c = set(), set()
-        for i, j in zip(rows, cols):
-            if cost[i, j] <= tol:
+        for i, j in _min_cost_assignment(cost):
+            if cost[i][j] <= tol:
                 matched_r.add(i)
                 matched_c.add(j)
-            elif cost[i, j] < 1e17 and len(ro) == len(co):
+            elif cost[i][j] < 1e17 and len(ro) == len(co):
                 matched_r.add(i)
                 matched_c.add(j)
                 add(
                     "geometry_mismatch",
                     f"obstacle {_rect_str(co[j])} differs from {_rect_str(ro[i])} "
-                    f"by {cost[i, j]:g}",
+                    f"by {cost[i][j]:g}",
                     ro[i],
                     co[j],
                 )

@@ -1,13 +1,18 @@
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
 import gridsynth as gs
 from gridsynth.agents import (
+    API_KEY_ENV,
     DEFAULT_K_MAX,
     SCRIPT_SEPARATOR,
     AcceptedSpec,
     BlockedWithFeedback,
+    HttpClient,
     MockClient,
     ParseFailure,
     build_checker_prompt,
@@ -117,6 +122,99 @@ class TestMockClient:
         assert a.outcome.spec_text == b.outcome.spec_text
         assert [i.code_agent_prompt for i in a.iterations] == \
             [i.code_agent_prompt for i in b.iterations]
+
+
+def reply(content="the answer"):
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+class FakeEndpoint:
+    """Stands in for urllib.request.urlopen: records each request and
+    answers from a list of bodies (bytes) or exceptions, the last repeating."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.calls = []
+
+    def __call__(self, request, timeout=None):
+        self.calls.append((request, timeout))
+        answer = self.answers[min(len(self.calls), len(self.answers)) - 1]
+        if isinstance(answer, Exception):
+            raise answer
+        return io.BytesIO(answer)
+
+
+HTTP_FAILURES = {
+    "http-error": urllib.error.HTTPError("http://llm.test", 503, "unavailable", {}, None),
+    "url-error": urllib.error.URLError("connection refused"),
+    "timeout": TimeoutError("timed out"),
+    "os-error": OSError("network unreachable"),
+    "invalid-json": b"<html>not json</html>",
+    "no-choices": b'{"error": "overloaded"}',
+    "empty-choices": b'{"choices": []}',
+    "not-an-object": b"[1, 2]",
+}
+
+
+class TestHttpClient:
+    def client(self, monkeypatch, *answers, **kwargs):
+        endpoint = FakeEndpoint(*answers)
+        monkeypatch.setattr(urllib.request, "urlopen", endpoint)
+        kwargs.setdefault("api_key", "sk-test")
+        return HttpClient("http://llm.test/v1/", "model-x", **kwargs), endpoint
+
+    def test_request_url_body_header_and_timeout(self, monkeypatch):
+        client, endpoint = self.client(monkeypatch, reply(), timeout=7.5)
+        assert client.complete("the prompt") == "the answer"
+        [(request, timeout)] = endpoint.calls
+        assert request.full_url == "http://llm.test/v1/chat/completions"
+        assert request.get_method() == "POST"
+        assert request.get_header("Authorization") == "Bearer sk-test"
+        assert request.get_header("Content-type") == "application/json"
+        assert timeout == 7.5
+        assert json.loads(request.data) == {
+            "model": "model-x",
+            "messages": [{"role": "user", "content": "the prompt"}],
+            "temperature": 0.0,
+            "seed": 0,
+        }
+
+    def test_per_call_temperature_and_seed(self, monkeypatch):
+        client, endpoint = self.client(monkeypatch, reply())
+        client.complete("p", temperature=0.7, seed=11)
+        body = json.loads(endpoint.calls[0][0].data)
+        assert (body["temperature"], body["seed"]) == (0.7, 11)
+
+    def test_seed_none_is_left_out(self, monkeypatch):
+        client, endpoint = self.client(monkeypatch, reply(), seed=None)
+        client.complete("p")
+        assert "seed" not in json.loads(endpoint.calls[0][0].data)
+
+    def test_api_key_from_environment(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-env")
+        client, endpoint = self.client(monkeypatch, reply(), api_key=None)
+        client.complete("p")
+        assert endpoint.calls[0][0].get_header("Authorization") == "Bearer sk-env"
+
+    def test_missing_api_key_raises(self, monkeypatch):
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+        with pytest.raises(ClientError, match=API_KEY_ENV):
+            HttpClient("http://llm.test", "m")
+
+    def test_a_failed_attempt_is_retried(self, monkeypatch):
+        client, endpoint = self.client(monkeypatch, urllib.error.URLError("reset"), reply("late"))
+        assert client.complete("p") == "late"
+        assert len(endpoint.calls) == 2
+
+    @pytest.mark.parametrize("kind", sorted(HTTP_FAILURES))
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_every_failure_kind_is_a_client_error_after_all_attempts(
+        self, monkeypatch, kind, max_retries
+    ):
+        client, endpoint = self.client(monkeypatch, HTTP_FAILURES[kind], max_retries=max_retries)
+        with pytest.raises(ClientError, match="after retries"):
+            client.complete("p")
+        assert len(endpoint.calls) == max_retries + 1
 
 
 class TestPipeline:

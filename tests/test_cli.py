@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -34,15 +36,31 @@ def controller_file(tmp_path_factory, spec_file):
     return out
 
 
-def run_cli(*argv, stdin=None):
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_python(*argv, stdin=None):
+    """A fresh interpreter that imports this checkout's gridsynth."""
     src = str(Path(gs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-m", "gridsynth.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, timeout=120, stdin=stdin,
     )
+
+
+def run_cli(*argv, stdin=None):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    return run_python("-m", "gridsynth.cli", *argv, stdin=stdin)
+
+
+def test_import_loads_numpy_and_the_standard_library_only():
+    done = run_python("-c", (
+        "import sys; before = set(sys.modules); import gridsynth, gridsynth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests'))); "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+        "- set(sys.stdlib_module_names)))"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['gridsynth', 'numpy']"]
 
 
 class TestSynth:
@@ -203,6 +221,26 @@ class TestNl2Spec:
     def test_needs_a_client(self, tmp_path):
         nl = self.make_nl(tmp_path)
         assert main(["nl2spec", "--nl", str(nl)]) == 2
+
+    def test_failing_endpoint_exits_3(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def refuse(request, timeout=None):
+            calls.append(request.full_url)
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setenv("GRIDSYNTH_LLM_KEY", "sk-test")
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        nl = self.make_nl(tmp_path)
+        code = main(["nl2spec", "--nl", str(nl), "--base-url", "http://llm.test/v1",
+                     "--model", "model-x"])
+        assert code == 3
+        assert calls == ["http://llm.test/v1/chat/completions"] * 3
+        assert "client error" in capsys.readouterr().err
+
+    def test_log_raw_is_gone(self, tmp_path, capsys):
+        nl = self.make_nl(tmp_path)
+        assert main(["nl2spec", "--nl", str(nl), "--mock", str(nl), "--log-raw"]) == 2
 
 
 class TestEval:

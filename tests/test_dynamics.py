@@ -167,12 +167,6 @@ class TestPropagateBox:
         _, r = gs.propagate_box(BICYCLE, [0, 0, 0], [0.1, 0.1, 0.1], [1, 0], 0.3)
         assert np.all(r >= [0.1, 0.1, 0.1])
 
-    def test_growth_factor_is_affine_in_heading_radius(self):
-        # L is nilpotent for the bicycle: exp(L tau) = I + L tau
-        M = growth_factor(BICYCLE, 0.3)
-        expected = np.eye(3) + BICYCLE.growth_matrix * 0.3
-        assert np.allclose(M, expected, rtol=0, atol=1e-15)
-
     def test_containment_sampling(self):
         # oracle: dense sampling of initial boxes, fine RK4, endpoints inside box
         rng = np.random.default_rng(23)
@@ -184,6 +178,68 @@ class TestPropagateBox:
             pts = rng.uniform(center - radius, center + radius, size=(400, 3))
             ends = gs.integrate(BICYCLE, pts, u, 0.3, substeps=100)
             assert np.all(np.abs(ends - c2) <= r2 + 1e-9)
+
+
+class TestGrowthFactor:
+    @pytest.mark.parametrize("tau", [0.3, 0.25, 1.0])
+    def test_bicycle_factor_is_exactly_affine(self, tau):
+        # L is nilpotent for the bicycle: exp(L tau) = I + L tau, with no rounding
+        assert np.array_equal(
+            growth_factor(BICYCLE, tau), np.eye(3) + BICYCLE.growth_matrix * tau
+        )
+
+    def test_upper_bound_within_64_ulps_of_exact(self):
+        # exact: exp of the float matrix L * tau at 50 digits
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        cases = []
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            L = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+            L *= rng.choice([1.0, 1e-3, 1e-8])
+            cases.append((L, float(rng.choice([0.1, 0.3, 1.0, 2.5]))))
+        # perfbench's drift field: current amplitude 0.12, wave number 1.2, |v| <= 1
+        drift = np.array([[0.0, 0.12 * 1.2, 1.0], [0.12 * 1.2, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        cases += [(drift, tau) for tau in (0.2, 0.3, 0.45, 0.6, 1.0)]
+        with mp.workdps(50):
+            for L, tau in cases:
+                n = len(L)
+                A = L * tau
+                G = growth_factor(gs.VectorField("t", n, 1, None, L), tau)
+                exact = mp.expm(mp.matrix([[mp.mpf(float(v)) for v in row] for row in A]))
+                for i in range(n):
+                    for j in range(n):
+                        e = exact[i, j]
+                        assert mp.mpf(float(G[i, j])) >= e, (A, i, j)
+                        assert G[i, j] - float(e) <= 64 * np.spacing(float(e)), (A, i, j)
+
+    def test_overflow_is_infinite_where_the_value_overflows(self):
+        def factor(L):
+            return growth_factor(gs.VectorField("t", len(L), 1, None, np.array(L)), 1.0)
+
+        assert np.array_equal(factor([[1000.0, 0.0], [0.0, 0.0]]), [[np.inf, 0.0], [0.0, 1.0]])
+        assert np.array_equal(factor([[1000.0, 1.0], [0.0, 0.0]]), [[np.inf, np.inf], [0.0, 1.0]])
+        assert np.all(np.isinf(factor([[0.0, 1000.0], [1000.0, 0.0]])))
+        assert np.array_equal(factor([[np.inf, 0.0], [0.0, 0.0]]), [[np.inf, 0.0], [0.0, 1.0]])
+        # e^709 is finite: 8.218407461554972e307 rounded to nearest
+        big = factor([[709.0]])[0, 0]
+        assert np.isfinite(big) and big >= 8.218407461554972e307
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflowing_radius_blocks_every_pair(self):
+        # an infinite image radius leaves the grid, so every pair is blocked
+        field = gs.VectorField(
+            "t", 2, 1, lambda x, u: np.zeros_like(x) + u[0], np.array([[1000.0, 0.0], [0.0, 0.0]])
+        )
+        grid = UniformGrid(HyperRect([0.0, 0.0], [4.0, 4.0]), np.array([1.0, 1.0]), [False, False])
+        fts = build_abstraction(grid, np.array([[0.0], [0.5]]), field, 1.0)
+        assert np.all(fts.blocked)
+        assert len(fts.succ) == 0
+        assert fts.nonfinite_pairs == 0
+
+    def test_nan_growth_matrix_rejected(self):
+        with pytest.raises(GeometryError, match="non-negative"):
+            gs.VectorField("t", 1, 1, None, np.array([[np.nan]]))
 
 
 # --- declared invariant dimensions ----------------------------------------------

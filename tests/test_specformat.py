@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 
@@ -8,7 +9,13 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.errors import GeometryError, SchemaError
-from gridsynth.specformat import canonicalize, parse_spec, semantic_diff, serialize_spec
+from gridsynth.specformat import (
+    _min_cost_assignment,
+    canonicalize,
+    parse_spec,
+    semantic_diff,
+    serialize_spec,
+)
 
 from conftest import bicycle_spec_doc
 
@@ -374,3 +381,50 @@ class TestSemanticDiff:
             report = semantic_diff(self.ref(), parse_doc(d))
             assert not report.ok
             assert "geometry_mismatch" in self.cats(report)
+
+
+def brute_force_min_cost(cost):
+    """Least total cost over every assignment of min(r, c) pairs."""
+    r, c = len(cost), len(cost[0])
+    if r <= c:
+        return min(
+            math.fsum(cost[i][p[i]] for i in range(r))
+            for p in itertools.permutations(range(c), r)
+        )
+    return min(
+        math.fsum(cost[p[j]][j] for j in range(c))
+        for p in itertools.permutations(range(r), c)
+    )
+
+
+class TestMinCostAssignment:
+    def matrices(self):
+        """Tie-heavy integers, integers with 1e18 sentinels, and eighths,
+        for every shape from 1 x 1 to 6 x 6."""
+        rng = np.random.default_rng(31)
+        for r, c in itertools.product(range(1, 7), repeat=2):
+            for _ in range(3):
+                yield rng.integers(0, 3, (r, c)).astype(float).tolist()
+                m = rng.integers(0, 10, (r, c)).astype(float)
+                m[rng.random((r, c)) < 0.4] = 1e18
+                yield m.tolist()
+                yield (rng.integers(0, 40, (r, c)) / 8.0).tolist()
+
+    def test_minimum_cost_equals_brute_force(self):
+        for cost in self.matrices():
+            pairs = _min_cost_assignment(cost)
+            rows = [i for i, _ in pairs]
+            cols = [j for _, j in pairs]
+            assert len(pairs) == min(len(cost), len(cost[0]))
+            assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+            total = math.fsum(cost[i][j] for i, j in pairs)
+            assert total == brute_force_min_cost(cost), cost
+
+    def test_same_input_gives_same_pairs(self):
+        for cost in self.matrices():
+            assert _min_cost_assignment(copy.deepcopy(cost)) == _min_cost_assignment(cost)
+
+    def test_tie_rule_takes_lowest_column(self):
+        assert _min_cost_assignment([[1.0, 1.0, 1.0]]) == [(0, 0)]
+        assert _min_cost_assignment([[0.0, 0.0], [0.0, 0.0]]) == [(0, 0), (1, 1)]
+        assert _min_cost_assignment([[2.0], [1.0], [1.0]]) == [(1, 0)]
