@@ -14,7 +14,16 @@ invariant_dims gets the stencil store instead: there a pair's successor box,
 taken relative to the pair's own cell in the invariant dimensions, depends
 only on its class (the grid index of the other dimensions, together with the
 input), so one box per class and each pair's blocked flag and successor
-count describe the whole relation.  The build checks that every cell of
+count describe the whole relation.
+
+That store is built from per-dimension factors.  Every value the per-cell
+build computes, a center coordinate after RK4, its exit flag and its cell
+index range, depends on one dimension at a time: on the cell's class and,
+in an invariant dimension d, on the cell's index along d alone.  So each
+input integrates one "diagonal" row per class and index, C * max N_d rows
+instead of all S cells, and the pairs' blocked flags and counts are ORs and
+products of those factors; the values are the per-cell ones bit for bit,
+with no rounding margin to certify.  The build checks that every cell of
 every class agrees on its box; if one does not, it falls back to the CSR
 store and records why.
 
@@ -25,6 +34,8 @@ spec's obstacles, targets and initial set.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -97,25 +108,25 @@ def _index_dtype(max_value: int):
 
 
 def _cell_ranges(grid: UniformGrid, endc, radius):
-    """Cell index ranges of a batch of box images, before any clipping.
+    """Per-dimension cell index ranges of a batch of box images, before clipping.
 
-    Returns (blocked, k_min, k_max, non-finite rows): per row and dimension
-    the first and last cell index the closed box center +- radius touches.
-    A row is blocked when its center is non-finite or its box leaves the
-    grid in a non-periodic dimension.
+    Returns (nonfinite, exits, k_min, k_max), each (N, n): per row and
+    dimension whether the center coordinate is non-finite, whether the
+    closed box center +- radius leaves the grid there (only in a
+    non-periodic dimension), and the first and last cell index the box
+    touches.  A row is blocked where either flag is set in any dimension.
+    Every value depends on its own dimension alone, which the stencil build
+    relies on.
     """
-    finite = np.all(np.isfinite(endc), axis=1)
-    nonfinite = int(np.sum(~finite))
-    endc = np.where(finite[:, None], endc, 0.0)
+    nonfinite = ~np.isfinite(endc)
+    endc = np.where(nonfinite, 0.0, endc)
     box_lo = endc - radius
     box_hi = endc + radius
-    exits = np.any(
-        ~np.array(grid.periodic)
-        & ((box_lo < grid.bounds.lower - SNAP_TOL) | (box_hi > grid.bounds.upper + SNAP_TOL)),
-        axis=1,
+    exits = ~np.array(grid.periodic) & (
+        (box_lo < grid.bounds.lower - SNAP_TOL) | (box_hi > grid.bounds.upper + SNAP_TOL)
     )
     k_min, k_max = grid.overlap_range(box_lo, box_hi)
-    return exits | ~finite, k_min, k_max, nonfinite
+    return nonfinite, exits, k_min, k_max
 
 
 class StencilStore:
@@ -128,6 +139,13 @@ class StencilStore:
     clipping to the grid; a pair's successors are that box moved to its cell
     and clipped as the CSR build clips it.  Beside the boxes the store keeps
     each pair's blocked flag and successor count.
+
+    The build integrates only the diagonal: row (c, j) of starts, C * J rows
+    with J the largest grid size of an invariant dimension, holds class c's
+    center coordinates and, in every invariant dimension d, the center of
+    index min(j, N_d - 1).  Every per-dimension value of _cell_ranges for a
+    cell then sits in the diagonal row of its class and its own index along
+    that dimension (see build_abstraction).
     """
 
     def __init__(self, grid: UniformGrid, invariant_dims):
@@ -139,31 +157,78 @@ class StencilStore:
         self.keep = np.setdiff1d(np.arange(grid.n), self.inv)
         self.multi = np.stack(np.unravel_index(np.arange(grid.num_cells), grid.shape), axis=1)
         self.cls = self.multi[:, self.keep] @ _strides(self.shape[self.keep])
-        self.num_classes = int(np.prod(self.shape[self.keep]))
-        self._by_class = np.argsort(self.cls, kind="stable")
+        self.num_classes = C = math.prod(int(s) for s in self.shape[self.keep])
+        J = int(self.shape[self.inv].max())
+        self.factor_shape = (C, J, grid.n)
+        self._is_inv = is_inv = np.isin(np.arange(grid.n), self.inv)
+        # flat id of each class's cell with index 0 in every invariant dimension
+        self._base = np.zeros(C, dtype=np.int64)
+        self._base[self.cls] = self.multi[:, self.keep] @ self.strides[self.keep]
+        # index along each dimension of diagonal row j: 0 in the kept ones
+        self._row_index = np.where(is_inv, np.minimum.outer(np.arange(J), self.shape - 1), 0)
+        cell = self.multi[self._base][:, None, :] + self._row_index  # (C, J, n) multi-indices
+        axes = grid.axis_centers()
+        self.starts = np.stack([axes[d][cell[..., d]] for d in range(grid.n)], axis=-1)
+        self.starts = self.starts.reshape(C * J, grid.n)
+        # open indices that place a (C, J, n) factor's dimension d on the
+        # grid, broadcastable to grid.shape: a gather of C * N_d values, not
+        # one per cell
+        self._open_cls = np.arange(C).reshape(np.where(is_inv, 1, self.shape))
+        self._open_index = [
+            np.arange(N).reshape(np.where(np.arange(grid.n) == d, N, 1)) if is_inv[d] else 0
+            for d, N in enumerate(grid.shape)
+        ]
         # set by build_abstraction: (U, C, n) boxes, (U, C) whether a class
         # has an unblocked cell, and per pair the counts and blocked flags
         self.lo = self.width = self.has = None
         self.counts = self.blocked = None
         self._tables = None
 
-    def class_boxes(self, k_min, k_max, blocked):
-        """(lo, width, has) of every class from one input's per-cell ranges.
+    def _on_grid(self, factor):
+        """Per dimension, factor (C, J, n) as an array broadcastable to grid.shape."""
+        return [factor[self._open_cls, self._open_index[d], d] for d in range(self.grid.n)]
 
-        Every unblocked cell of a class must give the same box; otherwise
-        returns a string naming the first class that breaks this.
+    def pairs(self, nonfinite, exits, k_min, k_max):
+        """One input's (counts, blocked, non-finite pairs) from its diagonal ranges.
+
+        A cell is blocked when any dimension's value is non-finite or exits;
+        its count is the product of each dimension's clipped span.
         """
+        nonfinite_cells = functools.reduce(np.logical_or, self._on_grid(nonfinite))
+        blocked = functools.reduce(np.logical_or, self._on_grid(exits), nonfinite_cells)
+        rows = (-1, self.grid.n)
+        _, span, _ = _clip(
+            k_min.reshape(rows), k_max.reshape(rows), False, self.shape, self.periodic
+        )
+        counts = functools.reduce(np.multiply, self._on_grid(span.reshape(self.factor_shape)))
+        counts = np.where(blocked, 0, counts).ravel()
+        nonfinite_pairs = int(np.broadcast_to(nonfinite_cells, self.grid.shape).sum())
+        return counts, blocked.ravel(), nonfinite_pairs
+
+    def boxes(self, nonfinite, exits, k_min, k_max):
+        """(lo, width, has) of every class from one input's diagonal ranges.
+
+        A class's unblocked cells are the product of each dimension's
+        unblocked indices, so they all give one box exactly when, in every
+        dimension, the unblocked indices give one (k_min relative to the
+        index, width).  Otherwise returns a string naming the first class
+        that breaks this.
+        """
+        live = ~(nonfinite | exits)
+        has = live.any(axis=1).all(axis=1)
+        key = np.stack([k_min - self._row_index, k_max - k_min], axis=-1)
         C, n = self.num_classes, self.grid.n
-        rel = k_min.copy()
-        rel[:, self.inv] -= self.multi[:, self.inv]
-        key = np.concatenate([rel, k_max - k_min], axis=1)[self._by_class].reshape(C, -1, 2 * n)
-        live = ~blocked[self._by_class].reshape(C, -1)
-        first = key[np.arange(C), live.argmax(axis=1)]
-        agree = (key == first[:, None, :]).all(axis=2) | ~live
-        bad = np.flatnonzero(~agree.all(axis=1))
+        first = key[np.arange(C)[:, None], live.argmax(axis=1), np.arange(n)]
+        agree = ((key == first[:, None]).all(axis=-1) | ~live).all(axis=(1, 2))
+        bad = np.flatnonzero(has & ~agree)
         if bad.size:
             return f"class {bad[0]}: its cells' successor boxes differ"
-        return first[:, :n], first[:, n:], live.any(axis=1)
+        return first[..., 0], first[..., 1], has
+
+    def cell_ranges(self, k_min, k_max):
+        """Every cell's (k_min, k_max), gathered from one input's diagonal ranges."""
+        at = self.cls[:, None], np.where(self._is_inv, self.multi, 0), np.arange(self.grid.n)
+        return k_min[at], k_max[at]
 
     def expand(self, lo, width, cells, blocked):
         """Sorted successor lists of the pairs (cells, u) under one input's boxes."""
@@ -230,8 +295,7 @@ class StencilStore:
         j = np.arange(n_e.sum()) - np.repeat(np.cumsum(n_e) - n_e, n_e)
         head = heads[(np.cumsum(heads_n) - heads_n)[row] + j // deltas_n[row]]
         delta = deltas[(np.cumsum(deltas_n) - deltas_n)[row] + j % deltas_n[row]]
-        base = np.zeros(C, dtype=np.int64)  # flat-id share of each class's kept index
-        base[self.cls] = self.multi[:, keep] @ self.strides[keep]
+        base = self._base  # flat-id share of each class's kept index
         pair = u[row] * S + base[c[row]] - base[head] - delta @ self.strides[inv]
         order = np.argsort(head, kind="stable")
         ptr = np.zeros(C + 1, dtype=np.int64)
@@ -430,24 +494,35 @@ def build_abstraction(
 ) -> FiniteTransitionSystem:
     """Construct the transition relation for every (cell, input) pair.
 
-    Each input is one task that handles all cells as one vectorized batch;
-    no task depends on another.  The tasks run on the _map_inputs pool and
-    merge in input order, i.e. pair-id order, so the relation is the same
-    bytes for any pool size.  Every task in flight holds one input block's
-    temporaries (the RK4 path of all cells is the largest), which bounds the
-    pool.  The image radius of a cell box is the same for every pair, so it
-    is computed once, before the pool; each task integrates its input's
-    cell centers (the two halves of propagate_box).  A pair whose image is
-    non-finite is blocked and counted in nonfinite_pairs.
+    Each input is one task, and no task depends on another.  The tasks run
+    on the _map_inputs pool and merge in input order, i.e. pair-id order,
+    so the relation is the same bytes for any pool size.  The image radius
+    of a cell box is the same for every pair, so it is computed once, before
+    the pool; each task integrates its input's cell centers (the two halves
+    of propagate_box).  A pair whose image is non-finite is blocked and
+    counted in nonfinite_pairs.
 
-    For a field that declares invariant_dims, integrate_path evaluates f
-    once per distinct remaining coordinate of the cell centers (once per
-    heading for the bicycle) with every image unchanged to the last bit, and
-    each task keeps its input's class boxes (StencilStore.class_boxes)
-    instead of successor lists.  If a class's cells disagree on their box,
-    every input gets successor lists, expanded from the boxes where a task
-    kept them, and fallback names the class.  Either way the successor sets
-    are those of the same field without the declaration.
+    Without invariant_dims a task integrates all cell centers as one batch
+    and expands every pair's successor list; its RK4 path, (SUBSTEPS + 1,
+    S, n) floats, is the largest temporary and bounds the pool.
+
+    For a field that declares invariant_dims a task integrates only the
+    store's diagonal, C * J rows (StencilStore), and derives every pair from
+    per-dimension factors.  This is exact, not an estimate: integrate_path
+    groups the diagonal into the same C groups, with the same
+    representatives, as the batch of all cells, and adds each group's
+    steps to every member one component at a time, so a diagonal row's
+    coordinate in dimension d is bit for bit that of every cell of its
+    class with its index along d.  _cell_ranges, overlap_range and _clip
+    then work per dimension, so every flag and index range is too.  A
+    pair's blocked flag is the OR, and its count the product, of its
+    dimensions' factors, broadcast over the grid.  Each task keeps its
+    input's class boxes (StencilStore.boxes).  If a class's cells disagree
+    on their box, every input gets successor lists, expanded from the
+    boxes where a task kept them and from per-cell ranges gathered from
+    the factors where it did not, and fallback names the input and class.
+    Either way the successor sets are those of the same field without the
+    declaration.
     """
     if grid.n != f.dim_state:
         raise GeometryError("grid/state dimension mismatch")
@@ -456,26 +531,41 @@ def build_abstraction(
         raise GeometryError("inputs must be a (num_inputs, m) array")
 
     S, U = grid.num_cells, inputs.shape[0]
-    centers = grid.all_centers()
     shape = np.array(grid.shape, dtype=np.int64)
     periodic = np.array(grid.periodic, dtype=bool)
-    store = StencilStore(grid, f.invariant_dims) if f.invariant_dims and U else None
     radius = image_radius(f, grid.eta / 2.0, tau)
 
-    def task(item):
-        """One input: (class boxes or successors, counts, blocked, non-finite pairs, fallback)."""
-        u, u_vec = item
-        endc = integrate_path(f, centers, u_vec, tau)[-1]
-        blocked, k_min, k_max, nonfinite = _cell_ranges(grid, endc, radius)
+    def successors(k_min, k_max, blocked):
+        """(counts, successor lists) of one input's pairs from their cell ranges."""
         k_lo, span, counts = _clip(k_min, k_max, blocked, shape, periodic)
-        why = None
-        if store is not None:
-            boxes = store.class_boxes(k_min, k_max, blocked)
+        return counts, _expand(k_lo, span, counts, shape, periodic, _index_dtype(S))
+
+    if f.invariant_dims and U:
+        store = StencilStore(grid, f.invariant_dims)
+
+        def task(item):
+            """One input: (class boxes or successors, counts, blocked, nonfinite, why)."""
+            u, u_vec = item
+            endc = integrate_path(f, store.starts, u_vec, tau)[-1]
+            ranges = [a.reshape(store.factor_shape) for a in _cell_ranges(grid, endc, radius)]
+            counts, blocked, nonfinite = store.pairs(*ranges)
+            boxes = store.boxes(*ranges)
             if not isinstance(boxes, str):
                 return boxes, counts, blocked, nonfinite, None
-            why = f"input {u}, {boxes}"
-        succ = _expand(k_lo, span, counts, shape, periodic, _index_dtype(S))
-        return succ, counts, blocked, nonfinite, why
+            counts, succ = successors(*store.cell_ranges(*ranges[2:]), blocked)
+            return succ, counts, blocked, nonfinite, f"input {u}, {boxes}"
+
+    else:
+        store, centers = None, grid.all_centers()
+
+        def task(item):
+            """One input: (successors, counts, blocked, non-finite pairs, None)."""
+            u, u_vec = item
+            endc = integrate_path(f, centers, u_vec, tau)[-1]
+            nonfinite, exits, k_min, k_max = _cell_ranges(grid, endc, radius)
+            blocked = (nonfinite | exits).any(axis=1)
+            counts, succ = successors(k_min, k_max, blocked)
+            return succ, counts, blocked, int(nonfinite.any(axis=1).sum()), None
 
     forms = []
     counts_all = np.empty(S * U, dtype=np.int32)

@@ -30,6 +30,11 @@ from .errors import (
 # Tolerance for "is this float an exact lattice multiple" decisions.
 SNAP_TOL = 1e-9
 
+# Bound on lattice coordinates, in cells, before they are cast to int64
+# indices.  From 2**53 on a float has no fractional digit left, and with
+# indices within +-(2**53 + 1) no difference of two of them wraps in int64.
+LATTICE_LIMIT = 2.0**53
+
 
 def _as_vector(v, name="vector"):
     arr = np.asarray(v, dtype=float)
@@ -194,8 +199,13 @@ def rect_from_encoding(encoding: RectEncoding) -> HyperRect:
 
 
 def _strides(shape) -> np.ndarray:
-    """Row-major strides of a lattice: flat id = multi-index @ strides."""
-    return np.array([int(np.prod(shape[i + 1 :])) for i in range(len(shape))], dtype=np.int64)
+    """Row-major strides of a lattice: flat id = multi-index @ strides.
+
+    Taken over Python ints, so a lattice whose strides pass int64 raises
+    OverflowError instead of wrapping.
+    """
+    shape = [int(s) for s in shape]
+    return np.array([math.prod(shape[i + 1 :]) for i in range(len(shape))], dtype=np.int64)
 
 
 def _clip(k_min, k_max, blocked, shape, periodic):
@@ -301,7 +311,7 @@ class UniformGrid:
         self.periodic = periodic
         self.shape = tuple(int(s) for s in shape)
         self.n = bounds.dim
-        self.num_cells = int(np.prod(shape))
+        self.num_cells = math.prod(self.shape)  # a Python int: never wraps
         self._strides = _strides(self.shape)
 
     # -- coordinate <-> index maps -------------------------------------------
@@ -356,13 +366,16 @@ class UniformGrid:
             multi = np.asarray(self.index(int(c)).multi_index)
         return self.bounds.lower + (multi + 0.5) * self.eta
 
-    def all_centers(self) -> np.ndarray:
-        """(num_cells, n) array of cell centers in flat-id order."""
-        axes = [
+    def axis_centers(self) -> list:
+        """Per dimension, the center coordinate of each cell index along it."""
+        return [
             self.bounds.lower[i] + (np.arange(s) + 0.5) * self.eta[i]
             for i, s in enumerate(self.shape)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
+
+    def all_centers(self) -> np.ndarray:
+        """(num_cells, n) array of cell centers in flat-id order."""
+        mesh = np.meshgrid(*self.axis_centers(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def cell_box(self, flat_id) -> HyperRect:
@@ -372,8 +385,13 @@ class UniformGrid:
     # -- set operations --------------------------------------------------------
 
     def _lattice(self, x):
-        """Coordinates of x in cells from the lower corner, snapped to lattice lines."""
-        return snap((x - self.bounds.lower) / self.eta)
+        """Coordinates of x in cells from the lower corner, snapped to lattice lines.
+
+        Clamped to +-LATTICE_LIMIT, so that an infinite or huge coordinate
+        still casts to an index beyond every cell: a box from -inf to inf
+        spans the whole ring of a periodic dimension, not one cell.
+        """
+        return snap(np.clip((x - self.bounds.lower) / self.eta, -LATTICE_LIMIT, LATTICE_LIMIT))
 
     def overlap_range(self, lo, hi):
         """(k_min, k_max): per dimension the first and last cell index whose

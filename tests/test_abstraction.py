@@ -16,7 +16,7 @@ from gridsynth.abstraction import (
     label_cells,
 )
 from gridsynth.errors import EmptyInputSet, EmptyTarget
-from gridsynth.geometry import HyperRect, UniformGrid
+from gridsynth.geometry import SNAP_TOL, HyperRect, UniformGrid
 from gridsynth.pipeline import synthesize
 from gridsynth.synthesis import _solve_stage
 
@@ -436,22 +436,81 @@ class TestStencilStore:
     def test_disagreeing_class_falls_back_to_csr(self, monkeypatch):
         case, twin_field = stencil_case("periodic-wrap", (0, 2))
         grid, inputs = case[0], case[1]
+        centers = grid.axis_centers()
         real = abstraction.integrate_path
 
         def moved(f, x0, u, tau):
-            # under input 1 one cell's image lands a cell further in dim 0
+            # under input 1 the start states of class 1 (index 1 in dim 1)
+            # with index 2 in dim 2 land a cell further in dim 2, whichever
+            # batch holds them: the stencil build's diagonal or all cells
             path = real(f, x0, u, tau)
             if np.array_equal(u, inputs[1]):
-                path[-1, 7, 0] += grid.eta[0]
+                rows = (x0[:, 1] == centers[1][1]) & (x0[:, 2] == centers[2][2])
+                path[-1, rows, 2] += grid.eta[2]
             return path
 
+        plain = build_abstraction(grid, inputs, twin_field, case[3])
         monkeypatch.setattr(abstraction, "integrate_path", moved)
         fts = build_abstraction(*case)
         twin = build_abstraction(grid, inputs, twin_field, case[3])
         assert fts.stencil is None
         assert fts.fallback.startswith("input 1, class ")
         assert twin.fallback is None
+        assert not np.array_equal(twin.succ, plain.succ)  # the shift shows
         assert_same_relation(fts, twin, grid)
+
+    def test_rounding_at_a_box_edge_falls_back_to_csr(self):
+        # dx/dt = (u, 0) moves every cell by (m + SNAP_TOL) cells in dim 0,
+        # so each box edge lies at the snapping threshold: the rounding of
+        # each cell's own center decides whether its edge snaps to the
+        # lattice line, and the one class's cells disagree on their box
+        rng = np.random.default_rng(0)
+        eta, tau, m = rng.uniform(0.05, 0.2), rng.uniform(0.2, 1.0), rng.integers(1, 4)
+        grid = UniformGrid(
+            HyperRect([0.0, 0.0], [64 * eta, 1.0]), np.array([eta, 1.0]), [True, False]
+        )
+        inputs = np.array([[(m + SNAP_TOL) * eta / tau]])
+        field = gs.VectorField(
+            "shift-x", 2, 1,
+            lambda x, u: np.stack([np.broadcast_to(u[0], x[..., 0].shape), 0.0 * x[..., 1]], -1),
+            invariant_dims=(0,),
+        )
+        fts = build_abstraction(grid, inputs, field, tau)
+        twin = build_abstraction(grid, inputs, dataclasses.replace(field, invariant_dims=()), tau)
+        assert fts.stencil is None
+        assert fts.fallback == "input 0, class 0: its cells' successor boxes differ"
+        assert set(np.diff(twin.indptr).tolist()) == {2, 3}  # per cell, by rounding
+        assert_same_relation(fts, twin, grid)
+
+    def test_stencil_build_integrates_only_the_diagonal(self, monkeypatch):
+        # no call to f, and no batch handed to integrate_path, holds more
+        # than the diagonal's C * J rows; all cells (S rows) never do
+        monkeypatch.setattr(abstraction, "_cpu_count", lambda: 2)
+        rows, batches = [], []
+
+        def counted(x, u):
+            rows.append(len(x))
+            return dynamics.bicycle_f(x, u)
+
+        real = abstraction.integrate_path
+
+        def recorded(f, x0, u, tau):
+            batches.append(len(x0))
+            return real(f, x0, u, tau)
+
+        monkeypatch.setattr(abstraction, "integrate_path", recorded)
+        spec = case01_spec()
+        grid = spec.build_grid()
+        inputs = build_input_grid(spec.input_bounds, spec.eta_u)
+        field = dataclasses.replace(gs.BICYCLE, eval_fn=counted)
+        fts = build_abstraction(grid, inputs, field, spec.tau)
+        C, J = grid.shape[2], max(grid.shape[:2])
+        U = len(inputs)
+        assert fts.stencil is not None
+        assert max(rows) <= C * J and batches == [C * J] * U
+        # four RK4 stages per substep, and the invariance check's first k1
+        assert sum(rows) <= U * 4 * dynamics.SUBSTEPS * (C * J) + U * C
+        assert C * J < grid.num_cells
 
     def test_synthesis_builds_no_csr_view(self):
         fts = synthesize(case01_spec()).fts
@@ -461,3 +520,21 @@ class TestStencilStore:
         assert fts._csr is None  # counts, delta and the solver read the stencils
         assert fts.succ.size == fts.num_transitions
         assert fts._csr is not None
+
+
+class TestExtremes:
+    @pytest.mark.parametrize("dims", [(), (0, 1)])
+    @pytest.mark.parametrize("a", [40.0, 45.0, 1000.0])
+    def test_huge_radius_reaches_the_whole_periodic_ring(self, a, dims):
+        # growth a = 45 gives a radius of 1.7e19 cells and a = 1000 an
+        # infinite one; both must reach all 16 cells, like a = 40 (1.2e17)
+        field = gs.VectorField(
+            "still", 2, 1, lambda x, u: 0.0 * x,
+            growth_matrix=np.array([[0.0, a], [a, 0.0]]),
+            invariant_dims=dims,
+        )
+        grid = UniformGrid(HyperRect([0.0, 0.0], [4.0, 4.0]), np.ones(2), [True, True])
+        fts = build_abstraction(grid, np.array([[0.0], [1.0]]), field, 1.0)
+        assert fts.num_transitions == 512
+        assert not fts.blocked.any()
+        assert fts.delta(5, 1).tolist() == list(range(16))

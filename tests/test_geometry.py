@@ -15,7 +15,7 @@ from gridsynth.errors import (
     NonAxisAligned,
     OutOfBounds,
 )
-from gridsynth.geometry import snap_eta_periodic
+from gridsynth.geometry import _strides, snap_eta_periodic
 
 
 def grid1d(width=4.0, eta=1.0, periodic=False):
@@ -191,6 +191,21 @@ class TestGridValidation:
         assert eta[0] == 0.2 and eta[1] == 0.2
         assert eta[2] == pytest.approx(2 * math.pi / 31)
         gs.UniformGrid(bounds, eta, [False, False, True])  # divisible now
+
+    def test_cell_count_is_exact_past_int64(self):
+        # 1e8 cells per axis, 1e24 in all: only the grid is built, no array
+        g = gs.UniformGrid(gs.HyperRect([0, 0, 0], [4, 4, 4]), [4e-8] * 3)
+        assert g.shape == (10**8,) * 3
+        assert g.num_cells == 10**24
+        assert g._strides.tolist() == [10**16, 10**8, 1]
+        with pytest.raises(OverflowError):  # a stride of 1e24 does not fit int64
+            _strides((10**8,) * 4)
+
+    @pytest.mark.parametrize("far", [1e17, 1e19, 1e300, math.inf])
+    def test_huge_box_covers_the_periodic_ring(self, far):
+        g = grid1d(periodic=True)
+        assert g.cells_overlapping(gs.HyperRect([-far], [far])) == {0, 1, 2, 3}
+        assert g.cells_overlapping(gs.HyperRect([-far], [0.5])) == {0, 1, 2, 3}
 
 
 # --- property-style invariants ---------------------------------------------------
