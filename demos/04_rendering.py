@@ -30,7 +30,7 @@ traj = gs.simulate_closed_loop(BICYCLE, ctrl, x0, spec.tau, max_steps=300)
 print(f"closed loop: {traj.termination.kind} at t = {traj.termination.time}")
 
 # shade the stage-0 winning set, projected onto the position plane
-rects = gs.winning_columns(result.grid, result.controller.winning)
+rects = gs.winning_columns(result.grid, result.controller.stages[0].winning)
 
 svg = gs.render_svg(spec, traj, winning_rects=rects)
 assert svg == gs.render_svg(spec, traj, winning_rects=rects)  # byte-identical

@@ -38,8 +38,6 @@ from .dynamics import (
     VectorField,
     bicycle_f,
     get_field,
-    integrate,
-    propagate_box,
     register_field,
 )
 from .geometry import (

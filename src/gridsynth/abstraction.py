@@ -110,10 +110,10 @@ def _index_dtype(max_value: int):
 def _cell_ranges(grid: UniformGrid, endc, radius):
     """Per-dimension cell index ranges of a batch of box images, before clipping.
 
-    Returns (nonfinite, exits, k_min, k_max), each (N, n): per row and
-    dimension whether the center coordinate is non-finite, whether the
-    closed box center +- radius leaves the grid there (only in a
-    non-periodic dimension), and the first and last cell index the box
+    Returns (nonfinite, exits, k_min, k_max), each shaped like endc (..., n):
+    per row and dimension whether the center coordinate is non-finite,
+    whether the closed box center +- radius leaves the grid there (only in
+    a non-periodic dimension), and the first and last cell index the box
     touches.  A row is blocked where either flag is set in any dimension.
     Every value depends on its own dimension alone, which the stencil build
     relies on.
@@ -140,12 +140,12 @@ class StencilStore:
     and clipped as the CSR build clips it.  Beside the boxes the store keeps
     each pair's blocked flag and successor count.
 
-    The build integrates only the diagonal: row (c, j) of starts, C * J rows
-    with J the largest grid size of an invariant dimension, holds class c's
-    center coordinates and, in every invariant dimension d, the center of
-    index min(j, N_d - 1).  Every per-dimension value of _cell_ranges for a
-    cell then sits in the diagonal row of its class and its own index along
-    that dimension (see build_abstraction).
+    The build integrates only the diagonal: row (c, j) of starts, a (C, J, n)
+    batch with J the largest grid size of an invariant dimension, holds
+    class c's center coordinates and, in every invariant dimension d, the
+    center of index min(j, N_d - 1).  Every per-dimension value of
+    _cell_ranges for a cell then sits in the diagonal row of its class and
+    its own index along that dimension (see build_abstraction).
     """
 
     def __init__(self, grid: UniformGrid, invariant_dims):
@@ -159,7 +159,6 @@ class StencilStore:
         self.cls = self.multi[:, self.keep] @ _strides(self.shape[self.keep])
         self.num_classes = C = math.prod(int(s) for s in self.shape[self.keep])
         J = int(self.shape[self.inv].max())
-        self.factor_shape = (C, J, grid.n)
         self._is_inv = is_inv = np.isin(np.arange(grid.n), self.inv)
         # flat id of each class's cell with index 0 in every invariant dimension
         self._base = np.zeros(C, dtype=np.int64)
@@ -169,7 +168,6 @@ class StencilStore:
         cell = self.multi[self._base][:, None, :] + self._row_index  # (C, J, n) multi-indices
         axes = grid.axis_centers()
         self.starts = np.stack([axes[d][cell[..., d]] for d in range(grid.n)], axis=-1)
-        self.starts = self.starts.reshape(C * J, grid.n)
         # open indices that place a (C, J, n) factor's dimension d on the
         # grid, broadcastable to grid.shape: a gather of C * N_d values, not
         # one per cell
@@ -200,7 +198,7 @@ class StencilStore:
         _, span, _ = _clip(
             k_min.reshape(rows), k_max.reshape(rows), False, self.shape, self.periodic
         )
-        counts = functools.reduce(np.multiply, self._on_grid(span.reshape(self.factor_shape)))
+        counts = functools.reduce(np.multiply, self._on_grid(span.reshape(k_min.shape)))
         counts = np.where(blocked, 0, counts).ravel()
         nonfinite_pairs = int(np.broadcast_to(nonfinite_cells, self.grid.shape).sum())
         return counts, blocked.ravel(), nonfinite_pairs
@@ -211,12 +209,17 @@ class StencilStore:
         A class's unblocked cells are the product of each dimension's
         unblocked indices, so they all give one box exactly when, in every
         dimension, the unblocked indices give one (k_min relative to the
-        index, width).  Otherwise returns a string naming the first class
+        index, width).  A span of N_d cells or more in a periodic dimension
+        covers the whole ring wherever it starts, so it is taken as the one
+        box (0, N_d - 1).  Otherwise returns a string naming the first class
         that breaks this.
         """
         live = ~(nonfinite | exits)
         has = live.any(axis=1).all(axis=1)
-        key = np.stack([k_min - self._row_index, k_max - k_min], axis=-1)
+        ring = self.periodic & (k_max - k_min >= self.shape - 1)
+        lo = np.where(ring, 0, k_min - self._row_index)
+        width = np.where(ring, self.shape - 1, k_max - k_min)
+        key = np.stack([lo, width], axis=-1)
         C, n = self.num_classes, self.grid.n
         first = key[np.arange(C)[:, None], live.argmax(axis=1), np.arange(n)]
         agree = ((key == first[:, None]).all(axis=-1) | ~live).all(axis=(1, 2))
@@ -414,9 +417,6 @@ class FiniteTransitionSystem:
         q = self.pair_id(s, u)
         return self.succ[self.indptr[q] : self.indptr[q + 1]]
 
-    def is_blocked(self, s: int, u: int) -> bool:
-        return bool(self.blocked[self.pair_id(s, u)])
-
     @property
     def num_transitions(self) -> int:
         if self.stencil is not None:
@@ -498,8 +498,9 @@ def build_abstraction(
     on the _map_inputs pool and merge in input order, i.e. pair-id order,
     so the relation is the same bytes for any pool size.  The image radius
     of a cell box is the same for every pair, so it is computed once, before
-    the pool; each task integrates its input's cell centers (the two halves
-    of propagate_box).  A pair whose image is non-finite is blocked and
+    the pool; each task integrates its input's start states, and a pair's
+    image is the box of that radius around its cell center's RK4 endpoint
+    (image_radius).  A pair whose image is non-finite is blocked and
     counted in nonfinite_pairs.
 
     Without invariant_dims a task integrates all cell centers as one batch
@@ -507,20 +508,21 @@ def build_abstraction(
     S, n) floats, is the largest temporary and bounds the pool.
 
     For a field that declares invariant_dims a task integrates only the
-    store's diagonal, C * J rows (StencilStore), and derives every pair from
-    per-dimension factors.  This is exact, not an estimate: integrate_path
-    groups the diagonal into the same C groups, with the same
-    representatives, as the batch of all cells, and adds each group's
-    steps to every member one component at a time, so a diagonal row's
-    coordinate in dimension d is bit for bit that of every cell of its
-    class with its index along d.  _cell_ranges, overlap_range and _clip
-    then work per dimension, so every flag and index range is too.  A
-    pair's blocked flag is the OR, and its count the product, of its
+    store's diagonal, the (C, J, n) batch StencilStore.starts, and derives
+    every pair from per-dimension factors.  This is exact, not an estimate:
+    the J rows of a class differ only in invariant dimensions, so
+    integrate_path evaluates f once per class and adds its steps to every
+    row one component at a time.  f reads no invariant dimension, so the
+    plain per-cell RK4 of any cell of the class takes the same steps, and a
+    diagonal row's coordinate in dimension d is bit for bit that of every
+    cell of its class with its index along d.  _cell_ranges, overlap_range
+    and _clip then work per dimension, so every flag and index range is
+    too.  A pair's blocked flag is the OR, and its count the product, of its
     dimensions' factors, broadcast over the grid.  Each task keeps its
     input's class boxes (StencilStore.boxes).  If a class's cells disagree
-    on their box, every input gets successor lists, expanded from the
-    boxes where a task kept them and from per-cell ranges gathered from
-    the factors where it did not, and fallback names the input and class.
+    on their box, every input gets successor lists, expanded from the boxes
+    where a task kept them and from per-cell ranges gathered from the
+    factors where it did not, and fallback names the input and class.
     Either way the successor sets are those of the same field without the
     declaration.
     """
@@ -547,7 +549,7 @@ def build_abstraction(
             """One input: (class boxes or successors, counts, blocked, nonfinite, why)."""
             u, u_vec = item
             endc = integrate_path(f, store.starts, u_vec, tau)[-1]
-            ranges = [a.reshape(store.factor_shape) for a in _cell_ranges(grid, endc, radius)]
+            ranges = _cell_ranges(grid, endc, radius)
             counts, blocked, nonfinite = store.pairs(*ranges)
             boxes = store.boxes(*ranges)
             if not isinstance(boxes, str):

@@ -15,7 +15,6 @@ scripted responses for tests and benchmarks.
 from __future__ import annotations
 
 import functools
-import hashlib
 import http.client
 import json
 import os
@@ -37,10 +36,6 @@ _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
 @functools.cache
 def _load_template(name: str) -> str:
     return (resources.files("gridsynth") / "prompts" / name).read_text(encoding="utf-8")
-
-
-def template_hash(name: str) -> str:
-    return hashlib.sha256(_load_template(name).encode("utf-8")).hexdigest()
 
 
 def build_code_prompt(nl: str, feedback: str | None = None) -> str:

@@ -72,10 +72,15 @@ def cmd_synth(args) -> int:
         export_controller(result.controller, result.grid), encoding="utf-8"
     )
     pol = result.controller.stages[0]
+    fts = result.fts
+    relation = "stencil" if fts.stencil is not None else "csr"
+    if fts.fallback is not None:
+        relation += f" (fallback: {fts.fallback})"
     print(
         f"abstract states: {result.grid.num_cells}\n"
         f"inputs: {result.inputs.shape[0]}\n"
-        f"transitions: {result.fts.num_transitions}\n"
+        f"transitions: {fts.num_transitions}\n"
+        f"relation: {relation}\n"
         f"winning fraction (stage 0): {result.winning_fraction:.4f}\n"
         f"abstraction build: {result.build_seconds:.2f}s, solve: "
         f"{result.solve_seconds:.2f}s",

@@ -1,17 +1,17 @@
-"""Continuous-time vector fields, RK4 integration, and box propagation.
+"""Continuous-time vector fields, RK4 integration, and growth bounds.
 
 Vector fields are registered under string names so a problem spec can refer
 to them symbolically; the kinematic bicycle is built in.  integrate_path is
 the one RK4 stepper.  A field may declare state components that f never
-reads (the bicycle's position); integrate_path then evaluates f once per
-distinct remaining coordinate of a batch and gives every row of a group the
-same increment, so the result equals the plain per-row RK4 float for float.
-Reachable boxes are propagated with a growth-matrix bound: the box center
-follows the exact (numerically integrated) flow while the radius is
-inflated by exp(L * tau), where L bounds the Jacobian magnitude
-componentwise.  growth_factor computes exp(L * tau) as an entrywise upper
-bound, never rounded below the exact value; for nilpotent L, such as the
-bicycle's, it is exact.
+reads (the bicycle's position); a caller that knows which states differ only
+there hands integrate_path a (G, M, n) batch of such groups, and f is then
+evaluated once per group, with a result equal to the plain per-row RK4
+float for float.  A reachable box is over-approximated with a growth-matrix
+bound: its center follows the RK4 flow while its radius is inflated by
+exp(L * tau), where L bounds the Jacobian magnitude componentwise.
+growth_factor computes exp(L * tau) as an entrywise upper bound, never
+rounded below the exact value; for nilpotent L, such as the bicycle's, it
+is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GeometryError, NonFinite
+from .errors import GeometryError
 
 # RK4 substeps per sampling period, shared by the abstraction and the closed
 # loop so both certify the same integrator.
@@ -40,9 +40,10 @@ class VectorField:
 
     invariant_dims lists the state components eval_fn never reads: f(x, u)
     is the same for any two states that agree on the other components.  It
-    is stored sorted; the default () declares nothing.  integrate_path uses
-    it to integrate a batch once per distinct remaining coordinate and
-    raises GeometryError if f contradicts it.
+    is stored sorted; the default () declares nothing.  build_abstraction
+    reads it to integrate one start state per class of cells (see
+    integrate_path's (G, M, n) batches), and the build raises GeometryError
+    if f contradicts it.
     """
 
     name: str
@@ -142,39 +143,21 @@ register_field(BICYCLE)
 # --- integration --------------------------------------------------------------
 
 
-def _group_rows(cols):
-    """Group the rows of cols (N, k) by bitwise equality.
-
-    Returns (first, last, group): each group's first and last row index and
-    each row's group number.
-    """
-    bits = np.ascontiguousarray(cols).view(np.int64)
-    key = bits[:, 0] if bits.shape[1] else np.zeros(len(bits), np.int64)
-    for col in bits.T[1:]:
-        _, key = np.unique(key, return_inverse=True)
-        _, code = np.unique(col, return_inverse=True)
-        key = key * (code.max() + 1) + code
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    last = np.zeros_like(first)
-    np.maximum.at(last, group, np.arange(len(key)))
-    return first, last, group
-
-
 def integrate_path(f, x0, u, tau, substeps=SUBSTEPS):
     """Fixed-step classic RK4 over [0, tau] with zero-order-hold input u.
 
-    x0 may be a single state (n,) or an (N, n) batch.  Returns every substep
-    state, shape (substeps + 1, *x0.shape), with the initial state first.
-    The states are not judged: a blow-up comes back as non-finite values.
+    x0 may be a single state (n,), an (N, n) batch, or a (G, M, n) batch of
+    G groups whose M states the caller declares to differ only in
+    dimensions f never reads.  Returns every substep state, shape
+    (substeps + 1, *x0.shape), with the initial state first.  The states
+    are not judged: a blow-up comes back as non-finite values.
 
-    If f declares invariant_dims, a batch is integrated once per distinct
-    remaining coordinate: rows whose other components are bitwise equal form
-    a group, f is evaluated on one representative row per group, and each
-    substep adds the representative's increment to every row of the group.
-    Members stay equal on the other components, so every state equals the
-    plain per-row result float for float.  The first k1 is also evaluated on
-    each group's last row; GeometryError if it differs from the
-    representative's, i.e. if f reads a dimension it declares invariant.
+    A group is integrated once: f is evaluated on its first state, and each
+    substep adds that state's increment to every member.  Members stay equal
+    on the dimensions f reads, so every state equals the per-row result of
+    an (N, n) batch float for float.  The first rate is also evaluated on
+    each group's last state; GeometryError if it differs from the first
+    state's, i.e. if f reads a dimension in which the group's states differ.
     """
     if tau <= 0:
         raise GeometryError("tau must be positive")
@@ -183,38 +166,27 @@ def integrate_path(f, x0, u, tau, substeps=SUBSTEPS):
     x = np.array(x0, dtype=float)
     u = np.asarray(u, dtype=float)
     h = tau / substeps
+    grouped = x.ndim == 3
     path = np.empty((substeps + 1,) + x.shape)
     path[0] = x
-    rep, group = x, None
-    if f.invariant_dims and x.ndim == 2:
-        first, last, rows = _group_rows(np.delete(x, f.invariant_dims, axis=1))
-        if len(first) < len(x):
-            rep, group = x[first], rows
     for k in range(1, substeps + 1):
+        # contiguous, as in an (N, n) batch: a strided ufunc loop may round
+        # differently
+        rep = np.ascontiguousarray(x[:, 0]) if grouped else x
         k1 = f(rep, u)
-        if k == 1 and group is not None and not np.array_equal(
-            f(x[last], u), k1, equal_nan=True
-        ):
-            raise GeometryError(f"vector field '{f.name}' reads a dimension it declares invariant")
+        if k == 1 and grouped:
+            last = f(np.ascontiguousarray(x[:, -1]), u)
+            if not np.array_equal(last, k1, equal_nan=True):
+                raise GeometryError(
+                    f"vector field '{f.name}' reads a dimension it declares invariant"
+                )
         k2 = f(rep + 0.5 * h * k1, u)
         k3 = f(rep + 0.5 * h * k2, u)
         k4 = f(rep + h * k3, u)
         step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if group is None:
-            x = rep = x + step
-        else:
-            x = x + step[group]
-            rep = rep + step
+        x = x + (step[:, None] if grouped else step)
         path[k] = x
     return path
-
-
-def integrate(f, x0, u, tau, substeps=SUBSTEPS):
-    """RK4 endpoint of integrate_path; raises NonFinite if it blew up."""
-    x = integrate_path(f, x0, u, tau, substeps)[-1]
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("integration produced non-finite state")
-    return x
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -279,22 +251,12 @@ def growth_factor(vf: VectorField, tau: float) -> np.ndarray:
 def image_radius(vf: VectorField, radius, tau: float) -> np.ndarray:
     """Radius of the image of any box with the given radius: exp(L tau) * radius.
 
-    Inflated by one ulp per component to preserve containment under
-    floating-point rounding.
+    The image of the box center +- radius under the sampled flow lies in
+    the box around the center's RK4 endpoint (integrate_path) with this
+    radius.  Inflated by one ulp per component to preserve containment
+    under floating-point rounding.
     """
     radius = np.asarray(radius, dtype=float)
     if np.any(radius < 0):
         raise GeometryError("radius must be non-negative")
     return np.nextafter(growth_factor(vf, tau) @ radius, np.inf)
-
-
-def propagate_box(vf: VectorField, center, radius, u, tau, substeps=SUBSTEPS):
-    """Sound image of the box center +- radius under the sampled flow.
-
-    center may be a single state (n,) or an (N, n) batch of centers sharing
-    one radius.  Returns (center', radius') with center' the RK4 endpoint of
-    each center (non-finite rows are returned as they are) and radius' the
-    image_radius.
-    """
-    new_radius = image_radius(vf, radius, tau)
-    return integrate_path(vf, center, u, tau, substeps)[-1], new_radius

@@ -85,20 +85,6 @@ class HyperRect:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lower - tol) & (x <= self.upper + tol), axis=-1)
 
-    def intersects(self, other: "HyperRect", tol=0.0):
-        """Closed-box intersection test (boundary touching counts)."""
-        return bool(
-            np.all(self.lower <= other.upper + tol)
-            and np.all(other.lower <= self.upper + tol)
-        )
-
-    def inflate(self, margin):
-        """Minkowski sum with the inf-norm ball of the given radius."""
-        m = np.broadcast_to(np.asarray(margin, dtype=float), self.lower.shape)
-        if np.any(m < 0):
-            raise GeometryError("inflation margin must be non-negative")
-        return HyperRect(self.lower - m, self.upper + m)
-
     def extend(self, tail: "HyperRect"):
         """Append further dimensions taken from tail (e.g. full orientation range)."""
         return HyperRect(
@@ -378,10 +364,6 @@ class UniformGrid:
         mesh = np.meshgrid(*self.axis_centers(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def cell_box(self, flat_id) -> HyperRect:
-        center = self.center_of(flat_id)
-        return HyperRect(center - self.eta / 2.0, center + self.eta / 2.0)
-
     # -- set operations --------------------------------------------------------
 
     def _lattice(self, x):
@@ -397,10 +379,18 @@ class UniformGrid:
         """(k_min, k_max): per dimension the first and last cell index whose
         closed box meets the closed box [lo, hi], before any clipping.
 
-        lo and hi may be (n,) corners or (N, n) batches of them.
+        lo and hi may be (n,) corners or (..., n) batches of them.  Where
+        either end of a periodic dimension reaches +-LATTICE_LIMIT, the float
+        has lost the box's place on the ring, and the range is the whole
+        ring from k_min.
         """
-        k_min = np.ceil(self._lattice(lo) - 1.0).astype(np.int64)
-        k_max = np.floor(self._lattice(hi)).astype(np.int64)
+        v_lo, v_hi = self._lattice(lo), self._lattice(hi)
+        k_min = np.ceil(v_lo - 1.0).astype(np.int64)
+        k_max = np.floor(v_hi).astype(np.int64)
+        lost = np.array(self.periodic) & (
+            (np.abs(v_lo) >= LATTICE_LIMIT) | (np.abs(v_hi) >= LATTICE_LIMIT)
+        )
+        k_max = np.where(lost, k_min + (np.array(self.shape) - 1), k_max)
         return k_min, k_max
 
     def cells_between(self, k_min, k_max):

@@ -56,19 +56,6 @@ class SymbolicController:
     def num_stages(self):
         return len(self.stages)
 
-    # single-stage conveniences
-    @property
-    def winning(self):
-        return self.stages[0].winning
-
-    @property
-    def value(self):
-        return self.stages[0].value
-
-    @property
-    def choice(self):
-        return self.stages[0].choice
-
     def input_for(self, stage: int, cell: int) -> np.ndarray:
         pol = self.stages[stage]
         if pol.input_vec is not None:

@@ -197,9 +197,8 @@ class TestLabelCells:
         obs = HyperRect(np.array([1.9, 1.9]), np.array([2.1, 2.1]))
         big = HyperRect(np.array([3.0, 3.0]), np.array([4.0, 4.0]))
         bare = label_cells(grid, self._stub([obs], [big], [0.25, 0.25]))
-        inflated = label_cells(
-            grid, self._stub([obs.inflate(0.5)], [big], [0.25, 0.25])
-        )
+        grown = HyperRect(obs.lower - 0.5, obs.upper + 0.5)
+        inflated = label_cells(grid, self._stub([grown], [big], [0.25, 0.25]))
         assert len(inflated.obstacle_cells) > len(bare.obstacle_cells)
         assert bare.obstacle_cells < inflated.obstacle_cells
 
@@ -226,9 +225,8 @@ def reference_successors(grid, field, u_vec, s):
     """Sorted successors of one pair by Python integer arithmetic: the cells
     the propagated box touches, taken with % in periodic dimensions and
     clamped in the others; None when the box leaves the grid (blocked)."""
-    endc, radius = gs.propagate_box(
-        field, grid.center_of(s)[None, :], grid.eta / 2.0, u_vec, 1.0, 5
-    )
+    endc = dynamics.integrate_path(field, grid.center_of(s)[None, :], u_vec, 1.0, 5)[-1]
+    radius = dynamics.image_radius(field, grid.eta / 2.0, 1.0)
     axes = []
     for i in range(grid.n):
         lo = (endc[0, i] - radius[i] - grid.bounds.lower[i]) / grid.eta[i]
@@ -269,7 +267,7 @@ class TestIndexPaths:
                 got = fts.delta(s, u)
                 want = reference_successors(WRAP_GRID, field, u_vec, s)
                 if want is None:
-                    assert fts.is_blocked(s, u) and got.size == 0, (s, u)
+                    assert fts.blocked[u * fts.num_states + s] and got.size == 0, (s, u)
                     continue
                 assert np.all(np.diff(got) > 0), (s, u)
                 assert got.tolist() == want, (s, u)
@@ -442,10 +440,12 @@ class TestStencilStore:
         def moved(f, x0, u, tau):
             # under input 1 the start states of class 1 (index 1 in dim 1)
             # with index 2 in dim 2 land a cell further in dim 2, whichever
-            # batch holds them: the stencil build's diagonal or all cells
+            # batch holds them: the stencil build's (C, J, n) diagonal or
+            # the (S, n) cells
             path = real(f, x0, u, tau)
             if np.array_equal(u, inputs[1]):
-                rows = (x0[:, 1] == centers[1][1]) & (x0[:, 2] == centers[2][2])
+                rows = (x0[..., 1] == centers[1][1]) & (x0[..., 2] == centers[2][2])
+                assert rows.sum() == (1 if x0.ndim == 3 else 6)
                 path[-1, rows, 2] += grid.eta[2]
             return path
 
@@ -483,8 +483,8 @@ class TestStencilStore:
         assert_same_relation(fts, twin, grid)
 
     def test_stencil_build_integrates_only_the_diagonal(self, monkeypatch):
-        # no call to f, and no batch handed to integrate_path, holds more
-        # than the diagonal's C * J rows; all cells (S rows) never do
+        # every batch handed to integrate_path is the (C, J, n) diagonal,
+        # and f sees one row per class; all cells (S rows) never go in
         monkeypatch.setattr(abstraction, "_cpu_count", lambda: 2)
         rows, batches = [], []
 
@@ -495,7 +495,7 @@ class TestStencilStore:
         real = abstraction.integrate_path
 
         def recorded(f, x0, u, tau):
-            batches.append(len(x0))
+            batches.append(x0.shape)
             return real(f, x0, u, tau)
 
         monkeypatch.setattr(abstraction, "integrate_path", recorded)
@@ -507,9 +507,10 @@ class TestStencilStore:
         C, J = grid.shape[2], max(grid.shape[:2])
         U = len(inputs)
         assert fts.stencil is not None
-        assert max(rows) <= C * J and batches == [C * J] * U
+        assert batches == [(C, J, 3)] * U
+        assert max(rows) <= C
         # four RK4 stages per substep, and the invariance check's first k1
-        assert sum(rows) <= U * 4 * dynamics.SUBSTEPS * (C * J) + U * C
+        assert sum(rows) <= U * (4 * dynamics.SUBSTEPS + 2) * C
         assert C * J < grid.num_cells
 
     def test_synthesis_builds_no_csr_view(self):
@@ -538,3 +539,21 @@ class TestExtremes:
         assert fts.num_transitions == 512
         assert not fts.blocked.any()
         assert fts.delta(5, 1).tolist() == list(range(16))
+        # a full-ring box is one box for every cell: no fallback to CSR
+        assert fts.fallback is None
+        assert (fts.stencil is not None) == bool(dims)
+
+    @pytest.mark.parametrize("dims", [(), (0,)])
+    def test_position_past_the_lattice_limit_is_the_whole_ring(self, dims):
+        # dx/dt = u = 1e17 on an 8-cell ring with tau = 1: 1e17 = 0 (mod 8),
+        # so cell s reaches s, but past 2**53 cells a float no longer places
+        # the box on the ring (clamped, both ends gave {0, 7})
+        field = gs.VectorField(
+            "shift", 1, 1, lambda x, u: np.broadcast_to(u, x.shape), invariant_dims=dims
+        )
+        grid = UniformGrid(HyperRect([0.0], [8.0]), np.ones(1), [True])
+        fts = build_abstraction(grid, np.array([[1e17]]), field, 1.0)
+        assert fts.fallback is None
+        assert (fts.stencil is not None) == bool(dims)
+        for s in range(8):
+            assert fts.delta(s, 0).tolist() == list(range(8))

@@ -28,7 +28,7 @@ from gridsynth.bench import (
     run_benchmark,
 )
 from gridsynth.cli import main as cli_main
-from gridsynth.dynamics import BICYCLE
+from gridsynth.dynamics import BICYCLE, integrate_path
 from gridsynth.simulator import Trajectory, check_reach_avoid, render_svg
 from gridsynth.synthesis import solve_sequential
 
@@ -55,7 +55,7 @@ def test_criterion_1_closed_loop_certification(bicycle_spec, bicycle_result):
     runtime = bicycle_result.build_seconds + bicycle_result.solve_seconds
     ctrl = bicycle_result.controller
     grid = bicycle_result.grid
-    winning = np.flatnonzero(ctrl.winning)
+    winning = np.flatnonzero(ctrl.stages[0].winning)
     rng = np.random.default_rng(2024)
     cells = rng.choice(winning, size=100, replace=False)
     satisfied = 0
@@ -97,12 +97,12 @@ def test_criterion_2_solver_oracle_equivalence():
             target_stages=(frozenset(target),),
             initial_cells=frozenset(),
         )
-        ctrl = solve_sequential(fts, labels)
+        pol = solve_sequential(fts, labels).stages[0]
         win_ref, val_ref = brute_force_reach_avoid(fts, obstacle, target)
-        if set(np.flatnonzero(ctrl.winning).tolist()) != win_ref:
+        if set(np.flatnonzero(pol.winning).tolist()) != win_ref:
             mismatches += 1
             continue
-        if any(ctrl.value[s] != val_ref[s] for s in win_ref):
+        if any(pol.value[s] != val_ref[s] for s in win_ref):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     report(
@@ -126,15 +126,15 @@ def test_criterion_3_abstraction_soundness(bicycle_spec, bicycle_result):
     while checked < 100:
         s = int(rng.integers(0, fts.num_states))
         u = int(rng.integers(0, fts.num_inputs))
-        if fts.is_blocked(s, u):
+        if fts.blocked[u * fts.num_states + s]:
             continue
         checked += 1
         succ = set(fts.delta(s, u).tolist())
         center = grid.center_of(s)
         pts = rng.uniform(center - grid.eta / 2, center + grid.eta / 2,
                           size=(1000, 3))
-        ends = gs.integrate(BICYCLE, pts, inputs[u], bicycle_spec.tau,
-                            substeps=5)
+        ends = integrate_path(BICYCLE, pts, inputs[u], bicycle_spec.tau, substeps=5)[-1]
+        assert np.isfinite(ends).all()
         landed = [grid.cell_of(x).flat_id for x in ends]
         misses += int(np.sum(~np.isin(landed, list(succ))))
     report(

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import urllib.error
 import urllib.request
+from importlib import resources
 
 import pytest
 
@@ -20,7 +22,6 @@ from gridsynth.agents import (
     build_direct_prompt,
     extract_code_block,
     pipeline_run,
-    template_hash,
     write_script,
 )
 from gridsynth.errors import ClientError
@@ -54,14 +55,16 @@ class TestPrompts:
 
     def test_templates_pinned(self):
         # guard against silent prompt drift; update when templates change
+        prompts = resources.files("gridsynth") / "prompts"
         hashes = {
-            name: template_hash(name)
-            for name in (
-                "code_agent_v1.txt", "checker_agent_v1.txt", "direct_llm_v1.txt"
-            )
+            name: hashlib.sha256((prompts / name).read_bytes()).hexdigest()
+            for name in ("code_agent_v1.txt", "checker_agent_v1.txt", "direct_llm_v1.txt")
         }
-        assert all(len(h) == 64 for h in hashes.values())
-        assert len(set(hashes.values())) == 3
+        assert hashes == {
+            "code_agent_v1.txt": "68b0889c1d92ae8138f6f7edcc4260c86796da584ae83e58cdb1ba4c700920f1",
+            "checker_agent_v1.txt": "61eca9a89083a18ab16162b2303293d3865c4a0cf7e0fe66c11ee736d4ab191d",
+            "direct_llm_v1.txt": "9e2f9e75f088f533e221b4dcf59a7e0158f8d40bfd2d2ee9b5eea225ada13f80",
+        }
 
     def test_code_prompt_shows_all_encodings(self):
         p = build_code_prompt(NL)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridsynth as gs
+from gridsynth import abstraction
 from gridsynth.agents import write_script
 from gridsynth.bench import fixtures_dir
 from gridsynth.cli import main
@@ -70,6 +71,27 @@ class TestSynth:
         assert main(["synth", str(spec_file), "-o", str(a)]) == 0
         assert main(["synth", str(spec_file), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_summary_names_the_relation_store(self, tmp_path, spec_file, capsys, monkeypatch):
+        out = tmp_path / "r.txt"
+        assert main(["synth", str(spec_file), "-o", str(out)]) == 0
+        assert "\nrelation: stencil\n" in capsys.readouterr().err
+        eta = gs.parse_spec(spec_file.read_text()).build_grid().eta
+        real = abstraction.integrate_path
+
+        def moved(f, x0, u, tau):
+            # the first diagonal row lands a cell further in heading, so the
+            # cells of its class disagree on their box
+            path = real(f, x0, u, tau)
+            path[-1, 0, 0, 2] += eta[2]
+            return path
+
+        monkeypatch.setattr(abstraction, "integrate_path", moved)
+        main(["synth", str(spec_file), "-o", str(out)])
+        assert (
+            "\nrelation: csr (fallback: input 0, class 0: its cells' successor boxes differ)\n"
+            in capsys.readouterr().err
+        )
 
     def test_svg_output(self, tmp_path, spec_file):
         out = tmp_path / "c.txt"

@@ -10,10 +10,12 @@ from gridsynth.dynamics import (
     ALPHA_MAX,
     BICYCLE,
     BICYCLE_GROWTH_C,
+    SUBSTEPS,
     growth_factor,
+    image_radius,
     integrate_path,
 )
-from gridsynth.errors import GeometryError, NonFinite
+from gridsynth.errors import GeometryError
 from gridsynth.geometry import HyperRect, UniformGrid
 
 from conftest import case01_spec
@@ -91,42 +93,48 @@ def test_bicycle_matches_high_precision_oracle():
             assert abs(f[i] - float(ref[i])) < 1e-12
 
 
+def endpoint(f, x0, u, tau, substeps=SUBSTEPS):
+    """The RK4 endpoint of integrate_path, checked finite."""
+    x = integrate_path(f, x0, u, tau, substeps)[-1]
+    assert np.isfinite(x).all()
+    return x
+
+
+def image_box(f, center, radius, u, tau, substeps=SUBSTEPS):
+    """The abstraction's image of the box center +- radius: (center', radius')."""
+    return integrate_path(f, center, u, tau, substeps)[-1], image_radius(f, radius, tau)
+
+
 class TestIntegrate:
     def test_stationary(self):
         x0 = [0.4, 1.2, -0.3]
-        assert np.allclose(gs.integrate(BICYCLE, x0, [0, 0.9], 0.7), x0)
+        assert np.allclose(endpoint(BICYCLE, x0, [0, 0.9], 0.7), x0)
 
     def test_linear_flow_exact(self):
         integ = gs.VectorField("integrator", 1, 1, lambda x, u: np.broadcast_to(u, x.shape))
-        assert gs.integrate(integ, [0.5], [1.0], 1.0) == pytest.approx([1.5])
+        assert endpoint(integ, [0.5], [1.0], 1.0) == pytest.approx([1.5])
 
     def test_straight_bicycle(self):
-        assert np.allclose(gs.integrate(BICYCLE, [0, 0, 0], [1, 0], 0.3), [0.3, 0, 0])
+        assert np.allclose(endpoint(BICYCLE, [0, 0, 0], [1, 0], 0.3), [0.3, 0, 0])
 
     def test_fourth_order_convergence(self):
         # halving the step reduces error by >= 8x against a fine reference
         x0 = np.array([0.2, 0.1, 0.4])
         u = np.array([0.9, 0.8])
         tau = 1.0
-        ref = gs.integrate(BICYCLE, x0, u, tau, substeps=1000)
+        ref = endpoint(BICYCLE, x0, u, tau, substeps=1000)
         errs = [
-            np.max(np.abs(gs.integrate(BICYCLE, x0, u, tau, substeps=k) - ref))
+            np.max(np.abs(endpoint(BICYCLE, x0, u, tau, substeps=k) - ref))
             for k in (2, 4, 8, 16)
         ]
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine >= 8.0
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_nonfinite_raises(self):
-        blowup = gs.VectorField("blowup", 1, 1, lambda x, u: x * x * 1e3)
-        with pytest.raises(NonFinite):
-            gs.integrate(blowup, [10.0], [0.0], 10.0, substeps=50)
-
     def test_path_endpoints(self):
         path = integrate_path(BICYCLE, [0, 0, 0], [1, 0], 0.3, substeps=5)
         assert path.shape == (6, 3)
         assert np.allclose(path[0], [0, 0, 0])
-        assert np.array_equal(path[-1], gs.integrate(BICYCLE, [0, 0, 0], [1, 0], 0.3))
+        assert np.allclose(path[-1], [0.3, 0, 0])
         # a batch keeps its leading axis behind the substep axis
         batch = integrate_path(BICYCLE, np.zeros((4, 3)), [1, 0], 0.3, substeps=5)
         assert batch.shape == (6, 4, 3)
@@ -142,7 +150,7 @@ class TestIntegrate:
 
 class TestPropagateBox:
     def test_point_propagation(self):
-        c, r = gs.propagate_box(BICYCLE, [0, 0, 0], [0, 0, 0], [1, 0], 0.3)
+        c, r = image_box(BICYCLE, [0, 0, 0], [0, 0, 0], [1, 0], 0.3)
         assert np.allclose(c, [0.3, 0, 0])
         assert np.all(r <= 1e-300)
 
@@ -150,21 +158,21 @@ class TestPropagateBox:
         integ = gs.VectorField(
             "integrator2", 1, 1, lambda x, u: np.broadcast_to(u, x.shape)
         )
-        c, r = gs.propagate_box(integ, [0.0], [0.5], [1.0], 1.0)
+        c, r = image_box(integ, [0.0], [0.5], [1.0], 1.0)
         assert c == pytest.approx([1.0])
         assert r == pytest.approx([0.5], rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_batch_centers_keep_nonfinite_rows(self):
         blowup = gs.VectorField("blowup", 1, 1, lambda x, u: x * x * 1e3)
-        c, r = gs.propagate_box(blowup, [[0.0], [10.0]], [0.5], [0.0], 10.0, substeps=50)
+        c, r = image_box(blowup, [[0.0], [10.0]], [0.5], [0.0], 10.0, substeps=50)
         assert c.shape == (2, 1)
         assert c[0] == pytest.approx([0.0])
         assert not np.isfinite(c[1]).any()
         assert r == pytest.approx([0.5], rel=1e-12)
 
     def test_bicycle_radius_grows(self):
-        _, r = gs.propagate_box(BICYCLE, [0, 0, 0], [0.1, 0.1, 0.1], [1, 0], 0.3)
+        _, r = image_box(BICYCLE, [0, 0, 0], [0.1, 0.1, 0.1], [1, 0], 0.3)
         assert np.all(r >= [0.1, 0.1, 0.1])
 
     def test_containment_sampling(self):
@@ -174,9 +182,9 @@ class TestPropagateBox:
             center = rng.uniform([-1, -1, -2], [1, 1, 2])
             radius = rng.uniform(0.01, 0.2, size=3)
             u = rng.uniform([-1, -1], [1, 1])
-            c2, r2 = gs.propagate_box(BICYCLE, center, radius, u, 0.3, substeps=20)
+            c2, r2 = image_box(BICYCLE, center, radius, u, 0.3, substeps=20)
             pts = rng.uniform(center - radius, center + radius, size=(400, 3))
-            ends = gs.integrate(BICYCLE, pts, u, 0.3, substeps=100)
+            ends = endpoint(BICYCLE, pts, u, 0.3, substeps=100)
             assert np.all(np.abs(ends - c2) <= r2 + 1e-9)
 
 
@@ -244,9 +252,6 @@ class TestGrowthFactor:
 
 # --- declared invariant dimensions ----------------------------------------------
 
-PLAIN_BICYCLE = dataclasses.replace(BICYCLE, invariant_dims=())
-
-
 def drift_like(invariant_dims):
     """A unicycle in a current that depends on position (x, y)."""
 
@@ -261,6 +266,20 @@ def drift_like(invariant_dims):
         )
 
     return gs.VectorField("drift-like", 3, 2, f, invariant_dims=invariant_dims)
+
+
+def grouped(centers, shape, dims):
+    """All cell centers of a grid as a (G, M, n) batch: one group per index
+    of the dimensions not in dims, its members ordered by the others.
+
+    Returns the batch and the permutation of (S, n) rows that gives it.
+    """
+    n = len(shape)
+    order = [d for d in range(n) if d not in dims] + list(dims)
+    rows = np.arange(len(centers)).reshape(shape).transpose(order)
+    G = math.prod(shape[d] for d in order[: n - len(dims)])
+    rows = rows.reshape(G, -1)
+    return centers[rows], rows
 
 
 class TestInvariantDims:
@@ -280,9 +299,12 @@ class TestInvariantDims:
         # with two inputs and two CPUs the error comes from a pool thread
         monkeypatch.setattr("gridsynth.abstraction._cpu_count", lambda: cpus)
         spec = case01_spec()
-        centers = spec.build_grid().all_centers()
+        grid = spec.build_grid()
+        centers = grid.all_centers()
+        # each group's states differ in x and y, which the current reads
+        groups, _ = grouped(centers, grid.shape, (0, 1))
         with pytest.raises(GeometryError, match="drift-like"):
-            integrate_path(drift_like((0, 1)), centers, [1.0, 0.0], spec.tau)
+            integrate_path(drift_like((0, 1)), groups, [1.0, 0.0], spec.tau)
         with pytest.raises(GeometryError, match="drift-like"):
             build_abstraction(
                 spec.build_grid(),
@@ -298,20 +320,24 @@ class TestInvariantDims:
     @pytest.mark.parametrize("dims", [(0, 1), (1,)])
     def test_reduced_path_equals_full_path_on_case01_grid(self, dims):
         spec = case01_spec()
-        centers = spec.build_grid().all_centers()
+        grid = spec.build_grid()
+        centers = grid.all_centers()
+        groups, rows = grouped(centers, grid.shape, dims)
         inputs = build_input_grid(spec.input_bounds, spec.eta_u)
         full_steer = [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
         chosen = np.vstack([inputs[[0, 6, 24, 42, 48]], full_steer])
-        declared = dataclasses.replace(BICYCLE, invariant_dims=dims)
         for u in chosen:
-            reduced = integrate_path(declared, centers, u, spec.tau)
-            full = integrate_path(PLAIN_BICYCLE, centers, u, spec.tau)
-            assert reduced.shape == (6, 20 * 20 * 31, 3)
-            assert np.array_equal(reduced, full)
+            reduced = integrate_path(BICYCLE, groups, u, spec.tau)
+            full = integrate_path(BICYCLE, centers, u, spec.tau)
+            assert reduced.shape == (6,) + rows.shape + (3,)
+            assert rows.shape[0] < rows.size
+            assert np.array_equal(reduced, full[:, rows])
 
     def test_one_eval_row_per_heading(self):
         spec = case01_spec()
-        centers = spec.build_grid().all_centers()
+        grid = spec.build_grid()
+        groups, _ = grouped(grid.all_centers(), grid.shape, (0, 1))
+        assert groups.shape == (31, 400, 3)
         rows = []
 
         def counting(x, u):
@@ -319,31 +345,31 @@ class TestInvariantDims:
             return gs.bicycle_f(x, u)
 
         counted = dataclasses.replace(BICYCLE, eval_fn=counting)
-        integrate_path(counted, centers, [0.9, 0.9], spec.tau)
-        # four stages per substep, plus the declaration check on the first
+        integrate_path(counted, groups, [0.9, 0.9], spec.tau)
+        # four stages per substep, plus the invariance check on the first
         assert rows == [31] * (4 * 5 + 1)
 
     def test_field_that_reads_no_state(self):
-        # every row forms one group; the shift is still added row by row
-        shift = gs.VectorField(
-            "shift", 1, 1, lambda x, u: np.broadcast_to(u, x.shape), invariant_dims=(0,)
-        )
-        plain = dataclasses.replace(shift, invariant_dims=())
+        # all rows form one group; the shift is still added row by row
+        shift = gs.VectorField("shift", 1, 1, lambda x, u: np.broadcast_to(u, x.shape))
         x0 = np.linspace(0.0, 1.0, 7)[:, None]
-        path = integrate_path(shift, x0, [0.3], 1.0)
-        assert np.array_equal(path, integrate_path(plain, x0, [0.3], 1.0))
+        path = integrate_path(shift, x0[None], [0.3], 1.0)
+        assert path.shape == (6, 1, 7, 1)
+        assert np.array_equal(path[:, 0], integrate_path(shift, x0, [0.3], 1.0))
 
     def test_single_state_matches_batch_row(self):
         # the closed loop integrates one state at a time on the plain path
         rng = np.random.default_rng(11)
         batch = rng.uniform([0, 0, -3], [4, 4, 3], size=(40, 3))
         batch[20:, 2] = batch[:20, 2]  # every heading appears twice
+        pairs = np.stack([batch[:20], batch[20:]], axis=1)  # (20, 2, 3) groups
         for u in ([1.0, 1.0], [-0.6, 0.3]):
             together = integrate_path(BICYCLE, batch, u, 0.3)
+            in_pairs = integrate_path(BICYCLE, pairs, u, 0.3)
             for i in (0, 7, 20, 39):
                 alone = integrate_path(BICYCLE, batch[i], u, 0.3)
-                assert np.array_equal(alone, integrate_path(PLAIN_BICYCLE, batch[i], u, 0.3))
                 assert np.array_equal(alone, together[:, i])
+                assert np.array_equal(alone, in_pairs[:, i % 20, i // 20])
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_rate_on_kept_coordinate(self):

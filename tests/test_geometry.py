@@ -28,10 +28,10 @@ class TestHyperRect:
             gs.HyperRect([1.0, 0.0], [0.0, 1.0])
 
     def test_closed_intersection(self):
-        a = gs.HyperRect([0, 0], [1, 1])
-        b = gs.HyperRect([1, 1], [2, 2])  # corner touch
-        assert a.intersects(b)
-        assert not a.intersects(gs.HyperRect([1.1, 1.1], [2, 2]))
+        # cell (0, 0) is the closed box [0, 1]^2: a corner touch meets it
+        g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [1.0, 1.0])
+        assert 0 in g.cells_overlapping(gs.HyperRect([1, 1], [2, 2]))
+        assert 0 not in g.cells_overlapping(gs.HyperRect([1.1, 1.1], [2, 2]))
 
 
 class TestCellOf:
@@ -111,7 +111,8 @@ class TestCellsOverlapping:
 
     def test_one_cell_box_includes_touching_neighbors(self):
         g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [1.0, 1.0])
-        r = g.cell_box(5)  # interior cell
+        c = g.center_of(5)  # interior cell
+        r = gs.HyperRect(c - g.eta / 2, c + g.eta / 2)
         assert g.cells_overlapping(r) == self.brute_force(g, r)
 
     def test_full_bounds_gives_all_cells(self):

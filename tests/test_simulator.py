@@ -207,7 +207,8 @@ class TestOutputs:
         traj = traj_through([[0.5, 0.5, 0.0], [3.4, 3.4, 0.0]])
         grid = bicycle_result.grid
         cells = list(bicycle_result.labels.target_stages[0])[:5]
-        rects = [grid.cell_box(c) for c in cells]
+        centers = [grid.center_of(c) for c in cells]
+        rects = [gs.HyperRect(c - grid.eta / 2, c + grid.eta / 2) for c in centers]
         svg = render_svg(bicycle_spec, traj, winning_rects=rects)
         assert 'class="trajectory"' in svg
         assert svg.count('class="winning"') == len(rects)

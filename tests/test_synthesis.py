@@ -56,11 +56,11 @@ class TestSolveReachAvoid:
     def test_three_state_chain(self):
         # 0 -> 1 -> 2 -> 2 under the only input; target {2}
         fts = fts_from_dict(3, 1, {(0, 0): [1], (1, 0): [2], (2, 0): [2]})
-        ctrl = solve_sequential(fts, labels({2}))
-        assert ctrl.winning.tolist() == [True, True, True]
-        assert ctrl.value.tolist() == [2, 1, 0]
-        assert ctrl.choice[0] == 0 and ctrl.choice[1] == 0
-        assert ctrl.choice[2] == -1  # in-goal cells hold no choice
+        pol = solve_sequential(fts, labels({2})).stages[0]
+        assert pol.winning.tolist() == [True, True, True]
+        assert pol.value.tolist() == [2, 1, 0]
+        assert pol.choice[0] == 0 and pol.choice[1] == 0
+        assert pol.choice[2] == -1  # in-goal cells hold no choice
 
     def test_worst_case_semantics(self):
         # input 0 from state 0 may land in the trap: not certified
@@ -69,28 +69,28 @@ class TestSolveReachAvoid:
             {(0, 0): [2, 3], (0, 1): [2], (2, 0): [2], (2, 1): [2],
              (3, 0): [3], (3, 1): [3]},
         )
-        ctrl = solve_sequential(fts, labels({2}))
-        assert ctrl.winning[0]
-        assert ctrl.choice[0] == 1
-        assert not ctrl.winning[3]
+        pol = solve_sequential(fts, labels({2})).stages[0]
+        assert pol.winning[0]
+        assert pol.choice[0] == 1
+        assert not pol.winning[3]
 
     def test_obstacle_excluded(self):
         fts = fts_from_dict(3, 1, {(0, 0): [1], (1, 0): [2], (2, 0): [2]})
-        ctrl = solve_sequential(fts, labels({2}, obstacles={1}))
-        assert not ctrl.winning[0]
-        assert not ctrl.winning[1]
-        assert ctrl.winning[2]
+        pol = solve_sequential(fts, labels({2}, obstacles={1})).stages[0]
+        assert not pol.winning[0]
+        assert not pol.winning[1]
+        assert pol.winning[2]
 
     def test_obstacle_target_overlap_obstacle_wins(self):
         fts = fts_from_dict(2, 1, {(0, 0): [1], (1, 0): [1]})
-        ctrl = solve_sequential(fts, labels({0, 1}, obstacles={0}))
-        assert not ctrl.winning[0]
-        assert ctrl.winning[1]
+        pol = solve_sequential(fts, labels({0, 1}, obstacles={0})).stages[0]
+        assert not pol.winning[0]
+        assert pol.winning[1]
 
     def test_tie_break_smallest_input(self):
         fts = fts_from_dict(2, 3, {(0, 1): [1], (0, 2): [1], (1, 0): [1]})
-        ctrl = solve_sequential(fts, labels({1}))
-        assert ctrl.choice[0] == 1
+        pol = solve_sequential(fts, labels({1})).stages[0]
+        assert pol.choice[0] == 1
 
     def test_empty_winning_warns(self):
         fts = fts_from_dict(2, 1, {(0, 0): [0], (1, 0): [1]})
@@ -108,11 +108,11 @@ class TestSolveReachAvoid:
                                     replace=False).tolist()) - obstacle
             if not target:
                 continue
-            ctrl = solve_sequential(fts, labels(target, obstacles=obstacle))
+            pol = solve_sequential(fts, labels(target, obstacles=obstacle)).stages[0]
             win_ref, val_ref = brute_force_reach_avoid(fts, obstacle, target)
-            assert set(np.flatnonzero(ctrl.winning).tolist()) == win_ref
+            assert set(np.flatnonzero(pol.winning).tolist()) == win_ref
             for s in win_ref:
-                assert ctrl.value[s] == val_ref[s]
+                assert pol.value[s] == val_ref[s]
 
     def test_maximality_spot_check(self):
         # any state outside the computed set has, for every input, either no
@@ -120,8 +120,8 @@ class TestSolveReachAvoid:
         rng = np.random.default_rng(7)
         fts = make_random_fts(rng)
         target = {0, 1}
-        ctrl = solve_sequential(fts, labels(target))
-        win = set(np.flatnonzero(ctrl.winning).tolist())
+        pol = solve_sequential(fts, labels(target)).stages[0]
+        win = set(np.flatnonzero(pol.winning).tolist())
         for s in range(fts.num_states):
             if s in win:
                 continue
@@ -132,8 +132,8 @@ class TestSolveReachAvoid:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         fts = make_random_fts(rng)
-        a = solve_sequential(fts, labels({0}))
-        b = solve_sequential(fts, labels({0}))
+        a = solve_sequential(fts, labels({0})).stages[0]
+        b = solve_sequential(fts, labels({0})).stages[0]
         assert np.array_equal(a.winning, b.winning)
         assert np.array_equal(a.choice, b.choice)
         assert np.array_equal(a.value, b.value)
@@ -144,13 +144,13 @@ class TestSolveReachAvoid:
         for _ in range(10):
             fts = make_random_fts(rng)
             target = {0}
-            ctrl = solve_sequential(fts, labels(target))
-            for s in np.flatnonzero(ctrl.winning):
+            pol = solve_sequential(fts, labels(target)).stages[0]
+            for s in np.flatnonzero(pol.winning):
                 if int(s) in target:
                     continue
-                d = fts.delta(int(s), int(ctrl.choice[s]))
+                d = fts.delta(int(s), int(pol.choice[s]))
                 assert d.size > 0
-                assert all(ctrl.winning[int(t)] for t in d)
+                assert all(pol.winning[int(t)] for t in d)
 
 
 class TestSolveSequential:
@@ -206,7 +206,7 @@ class TestSolveSequential:
         rng = np.random.default_rng(3)
         fts = make_random_fts(rng)
         a = _solve_stage(fts, frozenset(), {0, 1})
-        b = solve_sequential(fts, labels({0, 1}))
+        b = solve_sequential(fts, labels({0, 1})).stages[0]
         assert np.array_equal(a.winning, b.winning)
         assert np.array_equal(a.choice, b.choice)
 

@@ -2,7 +2,8 @@
 # Write the program's deterministic outputs into the directory OUT:
 #   <case>.txt        the controller table of each of the 20 shipped fixtures
 #   <case>.counts     the count lines of the fixture's synth summary (abstract
-#                     states, inputs, transitions, winning fraction)
+#                     states, inputs, transitions, relation store, winning
+#                     fraction)
 #   <case>.labels     the sorted obstacle, per-stage target and initial cell
 #                     ids that label_cells gives the fixture
 #   <case>.csv       a closed loop from the fixture's initial state
@@ -32,7 +33,7 @@ for d in src/gridsynth/fixtures/cases/*/; do
   python3 -m gridsynth.cli synth "$d/spec.json" -o "$out/$c.txt" 2> "$out/$c.err"
   synth=$?
   cat "$out/$c.err" >&2
-  grep -E '^(abstract states|inputs|transitions|winning fraction)' "$out/$c.err" \
+  grep -E '^(abstract states|inputs|transitions|relation|winning fraction)' "$out/$c.err" \
     > "$out/$c.counts"
   rm "$out/$c.err"
   python3 - "$d/spec.json" > "$out/$c.labels" <<'PY'
