@@ -24,8 +24,8 @@ input integrates one "diagonal" row per class and index, C * max N_d rows
 instead of all S cells, and the pairs' blocked flags and counts are ORs and
 products of those factors; the values are the per-cell ones bit for bit,
 with no rounding margin to certify.  The build checks that every cell of
-every class agrees on its box; if one does not, it falls back to the CSR
-store and records why.
+every class agrees on its box; if one does not, it builds the CSR store
+the per-cell way, as for a field without the declaration, and records why.
 
 Boxes become cell ranges and flat ids through the lattice code of geometry
 (UniformGrid.overlap_range, _clip, _expand), the same path that labels the
@@ -159,7 +159,7 @@ class StencilStore:
         self.cls = self.multi[:, self.keep] @ _strides(self.shape[self.keep])
         self.num_classes = C = math.prod(int(s) for s in self.shape[self.keep])
         J = int(self.shape[self.inv].max())
-        self._is_inv = is_inv = np.isin(np.arange(grid.n), self.inv)
+        is_inv = np.isin(np.arange(grid.n), self.inv)
         # flat id of each class's cell with index 0 in every invariant dimension
         self._base = np.zeros(C, dtype=np.int64)
         self._base[self.cls] = self.multi[:, self.keep] @ self.strides[self.keep]
@@ -227,11 +227,6 @@ class StencilStore:
         if bad.size:
             return f"class {bad[0]}: its cells' successor boxes differ"
         return first[..., 0], first[..., 1], has
-
-    def cell_ranges(self, k_min, k_max):
-        """Every cell's (k_min, k_max), gathered from one input's diagonal ranges."""
-        at = self.cls[:, None], np.where(self._is_inv, self.multi, 0), np.arange(self.grid.n)
-        return k_min[at], k_max[at]
 
     def expand(self, lo, width, cells, blocked):
         """Sorted successor lists of the pairs (cells, u) under one input's boxes."""
@@ -408,13 +403,10 @@ class FiniteTransitionSystem:
     def succ(self) -> np.ndarray:
         return self._view()[1]
 
-    def pair_id(self, s: int, u: int) -> int:
-        return u * self.num_states + s
-
     def delta(self, s: int, u: int) -> np.ndarray:
         if self.stencil is not None:
             return self.stencil.successors(s, u)
-        q = self.pair_id(s, u)
+        q = u * self.num_states + s
         return self.succ[self.indptr[q] : self.indptr[q + 1]]
 
     @property
@@ -519,10 +511,9 @@ def build_abstraction(
     and _clip then work per dimension, so every flag and index range is
     too.  A pair's blocked flag is the OR, and its count the product, of its
     dimensions' factors, broadcast over the grid.  Each task keeps its
-    input's class boxes (StencilStore.boxes).  If a class's cells disagree
-    on their box, every input gets successor lists, expanded from the boxes
-    where a task kept them and from per-cell ranges gathered from the
-    factors where it did not, and fallback names the input and class.
+    input's class boxes (StencilStore.boxes), or returns why a class's cells
+    disagree on their box; then the relation is built again by the
+    per-cell path above, and fallback names the first such input and class.
     Either way the successor sets are those of the same field without the
     declaration.
     """
@@ -533,76 +524,70 @@ def build_abstraction(
         raise GeometryError("inputs must be a (num_inputs, m) array")
 
     S, U = grid.num_cells, inputs.shape[0]
-    shape = np.array(grid.shape, dtype=np.int64)
-    periodic = np.array(grid.periodic, dtype=bool)
     radius = image_radius(f, grid.eta / 2.0, tau)
 
-    def successors(k_min, k_max, blocked):
-        """(counts, successor lists) of one input's pairs from their cell ranges."""
-        k_lo, span, counts = _clip(k_min, k_max, blocked, shape, periodic)
-        return counts, _expand(k_lo, span, counts, shape, periodic, _index_dtype(S))
+    def merged(task):
+        """task over the inputs, merged in input order: (forms, counts, blocked,
+        non-finite pairs), or the first reason string a task returns."""
+        forms = []
+        counts_all = np.empty(S * U, dtype=np.int32)
+        blocked_all = np.empty(S * U, dtype=bool)
+        nonfinite_pairs = 0
+        for u, result in enumerate(_map_inputs(task, list(enumerate(inputs)))):
+            if isinstance(result, str):
+                return result
+            form, counts, blocked, nonfinite = result
+            forms.append(form)
+            counts_all[u * S : (u + 1) * S] = counts
+            blocked_all[u * S : (u + 1) * S] = blocked
+            nonfinite_pairs += nonfinite
+        return forms, counts_all, blocked_all, nonfinite_pairs
 
+    fallback = None
     if f.invariant_dims and U:
         store = StencilStore(grid, f.invariant_dims)
 
-        def task(item):
-            """One input: (class boxes or successors, counts, blocked, nonfinite, why)."""
+        def stencil_task(item):
+            """One input: (class boxes, counts, blocked, non-finite pairs), or why not."""
             u, u_vec = item
             endc = integrate_path(f, store.starts, u_vec, tau)[-1]
             ranges = _cell_ranges(grid, endc, radius)
-            counts, blocked, nonfinite = store.pairs(*ranges)
             boxes = store.boxes(*ranges)
-            if not isinstance(boxes, str):
-                return boxes, counts, blocked, nonfinite, None
-            counts, succ = successors(*store.cell_ranges(*ranges[2:]), blocked)
-            return succ, counts, blocked, nonfinite, f"input {u}, {boxes}"
+            if isinstance(boxes, str):
+                return f"input {u}, {boxes}"
+            return (boxes, *store.pairs(*ranges))
 
-    else:
-        store, centers = None, grid.all_centers()
+        built = merged(stencil_task)
+        if not isinstance(built, str):
+            boxes, store.counts, store.blocked, nonfinite_pairs = built
+            store.lo, store.width, store.has = (np.stack(x) for x in zip(*boxes))
+            return FiniteTransitionSystem(
+                S, U, blocked=store.blocked, nonfinite_pairs=nonfinite_pairs, stencil=store
+            )
+        fallback = built
 
-        def task(item):
-            """One input: (successors, counts, blocked, non-finite pairs, None)."""
-            u, u_vec = item
-            endc = integrate_path(f, centers, u_vec, tau)[-1]
-            nonfinite, exits, k_min, k_max = _cell_ranges(grid, endc, radius)
-            blocked = (nonfinite | exits).any(axis=1)
-            counts, succ = successors(k_min, k_max, blocked)
-            return succ, counts, blocked, int(nonfinite.any(axis=1).sum()), None
+    shape = np.array(grid.shape, dtype=np.int64)
+    periodic = np.array(grid.periodic, dtype=bool)
+    centers = grid.all_centers()
 
-    forms = []
-    counts_all = np.empty(S * U, dtype=np.int32)
-    blocked_all = np.empty(S * U, dtype=bool)
-    nonfinite_pairs = 0
-    fallback = None
-    for u, (form, counts, blocked, nonfinite, why) in enumerate(
-        _map_inputs(task, list(enumerate(inputs)))
-    ):
-        forms.append(form)
-        counts_all[u * S : (u + 1) * S] = counts
-        blocked_all[u * S : (u + 1) * S] = blocked
-        nonfinite_pairs += nonfinite
-        fallback = fallback or why
+    def task(item):
+        """One input: (successors, counts, blocked, non-finite pairs)."""
+        _, u_vec = item
+        endc = integrate_path(f, centers, u_vec, tau)[-1]
+        nonfinite, exits, k_min, k_max = _cell_ranges(grid, endc, radius)
+        blocked = (nonfinite | exits).any(axis=1)
+        k_lo, span, counts = _clip(k_min, k_max, blocked, shape, periodic)
+        succ = _expand(k_lo, span, counts, shape, periodic, _index_dtype(S))
+        return succ, counts, blocked, int(nonfinite.any(axis=1).sum())
 
-    common = dict(
-        num_states=S,
-        num_inputs=U,
-        blocked=blocked_all,
-        nonfinite_pairs=nonfinite_pairs,
-    )
-    if store is not None and fallback is None:
-        store.lo, store.width, store.has = (np.stack(x) for x in zip(*forms))
-        store.counts, store.blocked = counts_all, blocked_all
-        return FiniteTransitionSystem(**common, stencil=store)
-
-    for u, form in enumerate(forms):
-        if isinstance(form, tuple):
-            blocked = blocked_all[u * S : (u + 1) * S]
-            forms[u] = store.expand(form[0], form[1], slice(None), blocked)
+    succ_blocks, counts, blocked, nonfinite_pairs = merged(task)
     indptr = np.zeros(S * U + 1, dtype=np.int64)
-    np.cumsum(counts_all, dtype=np.int64, out=indptr[1:])
-    del counts_all  # not held through the concatenation
-    succ = np.concatenate(forms) if forms else np.zeros(0, _index_dtype(S))
-    return FiniteTransitionSystem(**common, indptr=indptr, succ=succ, fallback=fallback)
+    np.cumsum(counts, dtype=np.int64, out=indptr[1:])
+    del counts  # not held through the concatenation
+    succ = np.concatenate(succ_blocks) if succ_blocks else np.zeros(0, _index_dtype(S))
+    return FiniteTransitionSystem(
+        S, U, indptr, succ, blocked, nonfinite_pairs=nonfinite_pairs, fallback=fallback
+    )
 
 
 # --- cell labeling -------------------------------------------------------------

@@ -30,6 +30,13 @@ API_KEY_ENV = "GRIDSYNTH_LLM_KEY"
 SCRIPT_SEPARATOR = "---RESPONSE---"
 DEFAULT_K_MAX = 2
 
+# HttpClient's request settings: greedy decoding with a fixed seed, to keep
+# replies as repeatable as the server allows, and bounded retries
+TEMPERATURE = 0.0
+SEED = 0
+MAX_RETRIES = 2
+TIMEOUT_S = 120.0
+
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
 
 
@@ -91,7 +98,7 @@ class MockClient:
             parts = parts[:-1]
         return cls(responses=parts)
 
-    def complete(self, prompt: str, temperature: float = 0.0, seed=None) -> str:
+    def complete(self, prompt: str) -> str:
         self.prompts.append(prompt)
         if self._cursor >= len(self.responses):
             raise ClientError("mock script exhausted")
@@ -113,41 +120,27 @@ def write_script(responses, path):
 class HttpClient:
     """Chat-completion client over HTTPS (urllib, no third-party transport).
 
-    Temperature 0 and a fixed seed by default to minimize output variance;
+    Every request asks for TEMPERATURE and SEED to minimize output variance;
     retries are bounded and never silent: an HTTP error status, a transport
-    error or timeout, a body that is not JSON and a reply without a choice
-    are each retried, and after max_retries + 1 attempts raise ClientError.
+    error or a TIMEOUT_S timeout, a body that is not JSON and a reply
+    without a choice are each retried, and after MAX_RETRIES + 1 attempts
+    raise ClientError.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: str | None = None,
-        temperature: float = 0.0,
-        seed: int | None = 0,
-        max_retries: int = 2,
-        timeout: float = 120.0,
-    ):
+    def __init__(self, base_url: str, model: str, api_key: str | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not self.api_key:
             raise ClientError(f"no API key: set {API_KEY_ENV} or pass api_key")
-        self.temperature = temperature
-        self.seed = seed
-        self.max_retries = max_retries
-        self.timeout = timeout
 
-    def complete(self, prompt: str, temperature=None, seed=None) -> str:
+    def complete(self, prompt: str) -> str:
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature if temperature is None else temperature,
+            "temperature": TEMPERATURE,
+            "seed": SEED,
         }
-        s = self.seed if seed is None else seed
-        if s is not None:
-            body["seed"] = s
         request = urllib.request.Request(
             f"{self.base_url}/chat/completions",
             data=json.dumps(body).encode("utf-8"),
@@ -158,9 +151,9 @@ class HttpClient:
             method="POST",
         )
         last_err = None
-        for _ in range(self.max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                     payload = json.loads(resp.read())
                 return payload["choices"][0]["message"]["content"]
             except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:

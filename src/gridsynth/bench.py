@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .agents import (
+    DEFAULT_K_MAX,
     AcceptedSpec,
     build_direct_prompt,
     code_agent_generate,
@@ -106,7 +107,7 @@ def _parse_direct_trajectory(raw: str):
     return Trajectory.from_waypoints(times, states)
 
 
-def run_paraphrase(strategy: str, client, nl: str, k_max: int = 2):
+def run_paraphrase(strategy: str, client, nl: str, k_max: int = DEFAULT_K_MAX):
     """Raw per-paraphrase result: transcript, iteration, or trajectory."""
     if strategy == FULL_PIPELINE:
         return pipeline_run(client, nl, k_max=k_max)
@@ -118,35 +119,33 @@ def run_paraphrase(strategy: str, client, nl: str, k_max: int = 2):
     raise GridSynthError(f"unknown strategy {strategy!r}")
 
 
-def _spec_correct(ground_truth, spec, tol=1e-6) -> bool:
+def _spec_correct(ground_truth, spec) -> bool:
     try:
-        return semantic_diff(ground_truth, spec, tol=tol).ok
+        return semantic_diff(ground_truth, spec).ok
     except GridSynthError:
         return False
 
 
-def categorize(strategy: str, result, ground_truth, tol=1e-6):
+def categorize(strategy: str, result, ground_truth):
     """Map a per-paraphrase result to its outcome category.
 
     Returns (category, false_block): false_block flags the sub-case where
     the checker blocked a spec that was actually correct.
     """
     if strategy == CODE_AGENT_ONLY:
-        ok = result.parsed_spec is not None and _spec_correct(
-            ground_truth, result.parsed_spec, tol
-        )
+        ok = result.parsed_spec is not None and _spec_correct(ground_truth, result.parsed_spec)
         return (CORRECT_NOT_CHECKED if ok else INCORRECT_EXECUTION), False
 
     if strategy == FULL_PIPELINE:
         outcome = result.outcome
         if isinstance(outcome, AcceptedSpec):
-            ok = _spec_correct(ground_truth, outcome.spec, tol)
+            ok = _spec_correct(ground_truth, outcome.spec)
             return (CORRECT_CHECKED if ok else INCORRECT_EXECUTION), False
         last = result.iterations[-1] if result.iterations else None
         false_block = (
             last is not None
             and last.parsed_spec is not None
-            and _spec_correct(ground_truth, last.parsed_spec, tol)
+            and _spec_correct(ground_truth, last.parsed_spec)
         )
         return INCORRECT_BLOCKED, false_block
 
@@ -229,7 +228,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def run_benchmark(cases, strategy: str, client, k_max: int = 2) -> BenchReport:
+def run_benchmark(cases, strategy: str, client, k_max: int = DEFAULT_K_MAX) -> BenchReport:
     """Evaluate every (case, paraphrase) under one strategy.
 
     Deterministic under a scripted mock: cases in sorted id order,

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bench
 from .agents import (
+    DEFAULT_K_MAX,
     AcceptedSpec,
     BlockedWithFeedback,
     HttpClient,
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", help="mock script file (deterministic replay)")
     p.add_argument("--base-url", help="remote chat-completion endpoint")
     p.add_argument("--model", help="remote model name")
-    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("-o", "--output", help="accepted spec output file")
     p.set_defaults(func=cmd_nl2spec)
 
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", help="mock script file")
     p.add_argument("--base-url")
     p.add_argument("--model")
-    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("-o", "--output", required=True, help="report output directory")
     p.set_defaults(func=cmd_eval)
     return parser

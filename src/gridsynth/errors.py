@@ -9,10 +9,6 @@ class OutOfBounds(GridSynthError):
     """A non-periodic coordinate lies outside the grid bounds."""
 
 
-class InvalidIndex(GridSynthError):
-    """A cell index does not address a cell of the grid."""
-
-
 class NonAxisAligned(GridSynthError):
     """Four vertices do not form an axis-aligned rectangle."""
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     GeometryError,
-    InvalidIndex,
     NegativeSide,
     NonAxisAligned,
     OutOfBounds,
@@ -329,28 +328,6 @@ class UniformGrid:
                 )
             multi.append(k)
         return CellIndex(tuple(multi), int(np.dot(multi, self._strides)))
-
-    def index(self, flat_id: int) -> CellIndex:
-        if not 0 <= flat_id < self.num_cells:
-            raise InvalidIndex(f"flat id {flat_id} out of range")
-        multi = []
-        rem = int(flat_id)
-        for s in self._strides:
-            multi.append(rem // int(s))
-            rem %= int(s)
-        return CellIndex(tuple(multi), int(flat_id))
-
-    def center_of(self, c) -> np.ndarray:
-        """Center point of a cell (CellIndex or flat id)."""
-        if isinstance(c, CellIndex):
-            multi = np.asarray(c.multi_index)
-            if len(multi) != self.n or np.any(multi < 0) or np.any(
-                multi >= np.array(self.shape)
-            ):
-                raise InvalidIndex(f"multi index {c.multi_index} out of range")
-        else:
-            multi = np.asarray(self.index(int(c)).multi_index)
-        return self.bounds.lower + (multi + 0.5) * self.eta
 
     def axis_centers(self) -> list:
         """Per dimension, the center coordinate of each cell index along it."""

@@ -34,7 +34,7 @@ class Trajectory:
     termination: Termination
 
     @classmethod
-    def from_waypoints(cls, times, states, termination=None):
+    def from_waypoints(cls, times, states):
         """Wrap an externally produced trajectory (e.g. an LLM plan)."""
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
@@ -43,7 +43,7 @@ class Trajectory:
             samples=samples,
             fine_times=times,
             fine_states=states,
-            termination=termination or Termination("StepLimit"),
+            termination=Termination("StepLimit"),
         )
 
 

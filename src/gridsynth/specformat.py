@@ -347,14 +347,15 @@ def serialize_spec(spec: ProblemSpec) -> str:
 
 # --- semantic diffing ----------------------------------------------------------------
 
+# largest coordinate or clearance difference that semantic_diff ignores
+DIFF_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MismatchEntry:
     category: str  # missing_obstacle, extra_obstacle, geometry_mismatch,
     # wrong_target, wrong_target_order, wrong_initial, wrong_bounds, wrong_clearance
     detail: str
-    expected: object = None
-    actual: object = None
 
 
 @dataclass(frozen=True)
@@ -424,14 +425,28 @@ def _min_cost_assignment(cost):
     return sorted((j, i) for i, j in pairs) if flip else sorted(pairs)
 
 
+def _obstacle_pairs(ro, co):
+    """(i, j, distance) of a nearest-pair assignment of the obstacles ro to
+    the obstacles co, sorted by i.
+
+    Only obstacles of one dimension pair up, so each dimension is its own
+    assignment of min(r_d, c_d) pairs, every distance in it finite.
+    """
+    pairs = []
+    for dim in sorted({r.dim for r in ro} & {c.dim for c in co}):
+        rows = [i for i, r in enumerate(ro) if r.dim == dim]
+        cols = [j for j, c in enumerate(co) if c.dim == dim]
+        cost = [[_rect_distance(ro[i], co[j]) for j in cols] for i in rows]
+        pairs += [(rows[a], cols[b], cost[a][b]) for a, b in _min_cost_assignment(cost)]
+    return sorted(pairs)
+
+
 def _rect_str(r: HyperRect) -> str:
     return f"[{', '.join(f'{v:g}' for v in r.lower)}] .. [{', '.join(f'{v:g}' for v in r.upper)}]"
 
 
-def semantic_diff(
-    reference: ProblemSpec, candidate: ProblemSpec, tol: float = 1e-6
-) -> MismatchReport:
-    """Componentwise geometric comparison of two specs.
+def semantic_diff(reference: ProblemSpec, candidate: ProblemSpec) -> MismatchReport:
+    """Componentwise geometric comparison of two specs, to within DIFF_TOL.
 
     Obstacles are matched by nearest-pair assignment; target order is
     compared exactly because visit order is part of the semantics.
@@ -442,33 +457,24 @@ def semantic_diff(
         )
     entries = []
 
-    def add(category, detail, expected=None, actual=None):
-        entries.append(MismatchEntry(category, detail, expected, actual))
+    def add(category, detail):
+        entries.append(MismatchEntry(category, detail))
 
-    if not reference.state_bounds.approx_equal(candidate.state_bounds, tol):
+    if not reference.state_bounds.approx_equal(candidate.state_bounds, DIFF_TOL):
         add(
             "wrong_bounds",
             f"state bounds {_rect_str(candidate.state_bounds)} != "
             f"{_rect_str(reference.state_bounds)}",
-            reference.state_bounds,
-            candidate.state_bounds,
         )
-    if not reference.input_bounds.approx_equal(candidate.input_bounds, tol):
+    if not reference.input_bounds.approx_equal(candidate.input_bounds, DIFF_TOL):
         add(
             "wrong_bounds",
             f"input bounds {_rect_str(candidate.input_bounds)} != "
             f"{_rect_str(reference.input_bounds)}",
-            reference.input_bounds,
-            candidate.input_bounds,
         )
 
-    if abs(reference.clearance - candidate.clearance) > tol:
-        add(
-            "wrong_clearance",
-            f"clearance {candidate.clearance:g} != {reference.clearance:g}",
-            reference.clearance,
-            candidate.clearance,
-        )
+    if abs(reference.clearance - candidate.clearance) > DIFF_TOL:
+        add("wrong_clearance", f"clearance {candidate.clearance:g} != {reference.clearance:g}")
 
     # initial set
     def initial_as_rect(s):
@@ -477,26 +483,16 @@ def semantic_diff(
         return s.initial_rect
 
     ri, ci = initial_as_rect(reference), initial_as_rect(candidate)
-    if ri.dim != ci.dim or _rect_distance(ri, ci) > tol:
-        add(
-            "wrong_initial",
-            f"initial {_rect_str(ci)} != {_rect_str(ri)}",
-            ri,
-            ci,
-        )
+    if ri.dim != ci.dim or _rect_distance(ri, ci) > DIFF_TOL:
+        add("wrong_initial", f"initial {_rect_str(ci)} != {_rect_str(ri)}")
 
     # targets: order is semantic
     rt, ct = reference.target_rects, candidate.target_rects
     if len(rt) != len(ct):
-        add(
-            "wrong_target",
-            f"target count {len(ct)} != {len(rt)}",
-            rt,
-            ct,
-        )
+        add("wrong_target", f"target count {len(ct)} != {len(rt)}")
     else:
         index_mismatch = [
-            i for i in range(len(rt)) if _rect_distance(rt[i], ct[i]) > tol
+            i for i in range(len(rt)) if _rect_distance(rt[i], ct[i]) > DIFF_TOL
         ]
         if index_mismatch:
             # same multiset but permuted -> ordering error, else geometry
@@ -507,7 +503,7 @@ def semantic_diff(
                         (
                             j
                             for j, c in enumerate(ct)
-                            if j not in used and _rect_distance(r, c) <= tol
+                            if j not in used and _rect_distance(r, c) <= DIFF_TOL
                         ),
                         None,
                     )
@@ -520,58 +516,29 @@ def semantic_diff(
                 add(
                     "wrong_target_order",
                     f"targets visited in the wrong order (positions {index_mismatch})",
-                    rt,
-                    ct,
                 )
             else:
                 for i in index_mismatch:
-                    add(
-                        "wrong_target",
-                        f"target {i}: {_rect_str(ct[i])} != {_rect_str(rt[i])}",
-                        rt[i],
-                        ct[i],
-                    )
+                    add("wrong_target", f"target {i}: {_rect_str(ct[i])} != {_rect_str(rt[i])}")
 
     # obstacles: nearest-pair assignment on the sorted rects
     ro, co = reference.obstacle_rects, candidate.obstacle_rects
-    if ro and co:
-        cost = [[min(_rect_distance(a, b), 1e18) for b in co] for a in ro]
-        matched_r, matched_c = set(), set()
-        for i, j in _min_cost_assignment(cost):
-            if cost[i][j] <= tol:
-                matched_r.add(i)
-                matched_c.add(j)
-            elif cost[i][j] < 1e17 and len(ro) == len(co):
-                matched_r.add(i)
-                matched_c.add(j)
+    matched_r, matched_c = set(), set()
+    for i, j, distance in _obstacle_pairs(ro, co):
+        if distance <= DIFF_TOL or len(ro) == len(co):
+            matched_r.add(i)
+            matched_c.add(j)
+            if distance > DIFF_TOL:
                 add(
                     "geometry_mismatch",
                     f"obstacle {_rect_str(co[j])} differs from {_rect_str(ro[i])} "
-                    f"by {cost[i][j]:g}",
-                    ro[i],
-                    co[j],
+                    f"by {distance:g}",
                 )
-        for i in range(len(ro)):
-            if i not in matched_r:
-                add(
-                    "missing_obstacle",
-                    f"obstacle {_rect_str(ro[i])} missing from candidate",
-                    ro[i],
-                    None,
-                )
-        for j in range(len(co)):
-            if j not in matched_c:
-                add(
-                    "extra_obstacle",
-                    f"candidate has extra obstacle {_rect_str(co[j])}",
-                    None,
-                    co[j],
-                )
-    elif ro:
-        for r in ro:
-            add("missing_obstacle", f"obstacle {_rect_str(r)} missing from candidate", r, None)
-    elif co:
-        for c in co:
-            add("extra_obstacle", f"candidate has extra obstacle {_rect_str(c)}", None, c)
+    for i in range(len(ro)):
+        if i not in matched_r:
+            add("missing_obstacle", f"obstacle {_rect_str(ro[i])} missing from candidate")
+    for j in range(len(co)):
+        if j not in matched_c:
+            add("extra_obstacle", f"candidate has extra obstacle {_rect_str(co[j])}")
 
     return MismatchReport(entries=tuple(entries))

@@ -184,7 +184,7 @@ class ConcreteController:
 # --- portable controller table ---------------------------------------------------
 
 
-def export_controller(ctrl: SymbolicController, grid: UniformGrid, stream=None) -> str:
+def export_controller(ctrl: SymbolicController, grid: UniformGrid) -> str:
     """Self-describing text table: one line per winning cell and stage.
 
     Columns: flat_id stage value input-components.  The header records the
@@ -212,10 +212,7 @@ def export_controller(ctrl: SymbolicController, grid: UniformGrid, stream=None) 
             f"{c} {stage_i} {v} {labels[k]}\n"
             for c, v, k in zip(cells.tolist(), pol.value[cells].tolist(), ids.tolist())
         )
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
 def load_controller(text: str):

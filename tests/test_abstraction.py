@@ -157,9 +157,9 @@ class TestLabelCells:
         # target cells are contained in the target rect and disjoint from obstacles
         assert labels.obstacle_cells.isdisjoint(labels.target_stages[0])
         tgt = bicycle_spec.target_rects[0]
+        centers = grid.all_centers()
         for c in labels.target_stages[0]:
-            center = grid.center_of(c)
-            assert tgt.contains(center[:2])
+            assert tgt.contains(centers[c][:2])
 
     def test_initial_point_single_cell(self, bicycle_result):
         assert len(bicycle_result.labels.initial_cells) == 1
@@ -225,7 +225,7 @@ def reference_successors(grid, field, u_vec, s):
     """Sorted successors of one pair by Python integer arithmetic: the cells
     the propagated box touches, taken with % in periodic dimensions and
     clamped in the others; None when the box leaves the grid (blocked)."""
-    endc = dynamics.integrate_path(field, grid.center_of(s)[None, :], u_vec, 1.0, 5)[-1]
+    endc = dynamics.integrate_path(field, grid.all_centers()[s : s + 1], u_vec, 1.0, 5)[-1]
     radius = dynamics.image_radius(field, grid.eta / 2.0, 1.0)
     axes = []
     for i in range(grid.n):

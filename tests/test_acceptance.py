@@ -60,10 +60,11 @@ def test_criterion_1_closed_loop_certification(bicycle_spec, bicycle_result):
     cells = rng.choice(winning, size=100, replace=False)
     satisfied = 0
     contacts = 0
+    centers = grid.all_centers()
     for cell in cells:
         cc = bicycle_result.concrete_controller()
         traj = gs.simulate_closed_loop(
-            BICYCLE, cc, grid.center_of(int(cell)), bicycle_spec.tau, max_steps=300
+            BICYCLE, cc, centers[cell], bicycle_spec.tau, max_steps=300
         )
         verdict = check_reach_avoid(traj, bicycle_spec)
         satisfied += verdict.satisfied
@@ -123,6 +124,7 @@ def test_criterion_3_abstraction_soundness(bicycle_spec, bicycle_result):
     rng = np.random.default_rng(99)
     misses = 0
     checked = 0
+    centers = grid.all_centers()
     while checked < 100:
         s = int(rng.integers(0, fts.num_states))
         u = int(rng.integers(0, fts.num_inputs))
@@ -130,7 +132,7 @@ def test_criterion_3_abstraction_soundness(bicycle_spec, bicycle_result):
             continue
         checked += 1
         succ = set(fts.delta(s, u).tolist())
-        center = grid.center_of(s)
+        center = centers[s]
         pts = rng.uniform(center - grid.eta / 2, center + grid.eta / 2,
                           size=(1000, 3))
         ends = integrate_path(BICYCLE, pts, inputs[u], bicycle_spec.tau, substeps=5)[-1]

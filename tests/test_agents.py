@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 import gridsynth as gs
+from gridsynth import agents
 from gridsynth.agents import (
     API_KEY_ENV,
     DEFAULT_K_MAX,
@@ -167,31 +168,20 @@ class TestHttpClient:
         return HttpClient("http://llm.test/v1/", "model-x", **kwargs), endpoint
 
     def test_request_url_body_header_and_timeout(self, monkeypatch):
-        client, endpoint = self.client(monkeypatch, reply(), timeout=7.5)
+        client, endpoint = self.client(monkeypatch, reply())
         assert client.complete("the prompt") == "the answer"
         [(request, timeout)] = endpoint.calls
         assert request.full_url == "http://llm.test/v1/chat/completions"
         assert request.get_method() == "POST"
         assert request.get_header("Authorization") == "Bearer sk-test"
         assert request.get_header("Content-type") == "application/json"
-        assert timeout == 7.5
+        assert timeout == 120.0
         assert json.loads(request.data) == {
             "model": "model-x",
             "messages": [{"role": "user", "content": "the prompt"}],
             "temperature": 0.0,
             "seed": 0,
         }
-
-    def test_per_call_temperature_and_seed(self, monkeypatch):
-        client, endpoint = self.client(monkeypatch, reply())
-        client.complete("p", temperature=0.7, seed=11)
-        body = json.loads(endpoint.calls[0][0].data)
-        assert (body["temperature"], body["seed"]) == (0.7, 11)
-
-    def test_seed_none_is_left_out(self, monkeypatch):
-        client, endpoint = self.client(monkeypatch, reply(), seed=None)
-        client.complete("p")
-        assert "seed" not in json.loads(endpoint.calls[0][0].data)
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-env")
@@ -214,7 +204,8 @@ class TestHttpClient:
     def test_every_failure_kind_is_a_client_error_after_all_attempts(
         self, monkeypatch, kind, max_retries
     ):
-        client, endpoint = self.client(monkeypatch, HTTP_FAILURES[kind], max_retries=max_retries)
+        monkeypatch.setattr(agents, "MAX_RETRIES", max_retries)
+        client, endpoint = self.client(monkeypatch, HTTP_FAILURES[kind])
         with pytest.raises(ClientError, match="after retries"):
             client.complete("p")
         assert len(endpoint.calls) == max_retries + 1

@@ -10,7 +10,6 @@ import gridsynth as gs
 from gridsynth.errors import (
     EmptyInputSet,
     GeometryError,
-    InvalidIndex,
     NegativeSide,
     NonAxisAligned,
     OutOfBounds,
@@ -38,7 +37,7 @@ class TestCellOf:
     def test_lower_corner(self):
         g = grid1d()
         assert g.cell_of([0.0]).flat_id == 0
-        assert np.allclose(g.center_of(0), [0.5])
+        assert np.allclose(g.all_centers()[0], [0.5])
 
     def test_half_open_boundary(self):
         # x exactly on an interior cell boundary belongs to the upper cell
@@ -67,25 +66,22 @@ class TestCellOf:
 class TestCenterOf:
     def test_simple(self):
         g = grid1d()
-        assert np.allclose(g.center_of(0), [0.5])
+        assert np.allclose(g.all_centers(), [[0.5], [1.5], [2.5], [3.5]])
 
     def test_periodic_high_precision(self):
         g = gs.UniformGrid(
             gs.HyperRect([-math.pi], [math.pi]), [math.pi / 2], [True]
         )
         # lower + (k + 0.5) * eta for k = 3
-        assert g.center_of(3) == pytest.approx([3 * math.pi / 4], abs=1e-15)
-
-    def test_invalid_index(self):
-        g = grid1d()
-        with pytest.raises(InvalidIndex):
-            g.center_of(4)
+        assert g.all_centers()[3] == pytest.approx([3 * math.pi / 4], abs=1e-15)
 
     def test_round_trip_random_cells(self):
         g = gs.UniformGrid(gs.HyperRect([0, 0, -1], [4, 4, 1]), [0.5, 0.25, 0.5])
+        centers = g.all_centers()
+        assert centers.shape == (g.num_cells, 3)
         rng = np.random.default_rng(7)
         for flat in rng.integers(0, g.num_cells, size=1000):
-            assert g.cell_of(g.center_of(int(flat))).flat_id == int(flat)
+            assert g.cell_of(centers[flat]).flat_id == int(flat)
 
 
 class TestCellsOverlapping:
@@ -111,7 +107,7 @@ class TestCellsOverlapping:
 
     def test_one_cell_box_includes_touching_neighbors(self):
         g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [1.0, 1.0])
-        c = g.center_of(5)  # interior cell
+        c = g.all_centers()[5]  # interior cell
         r = gs.HyperRect(c - g.eta / 2, c + g.eta / 2)
         assert g.cells_overlapping(r) == self.brute_force(g, r)
 
@@ -121,7 +117,7 @@ class TestCellsOverlapping:
 
     def test_point_at_center_gives_one_cell(self):
         g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [1.0, 1.0])
-        center = g.center_of(7)
+        center = g.all_centers()[7]
         r = gs.HyperRect(center, center)
         assert g.cells_overlapping(r) == {7}
 
@@ -219,15 +215,16 @@ class TestGridValidation:
 def test_quantization_soundness_hypothesis(x):
     g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [0.25, 0.5])
     c = g.cell_of(x)
-    assert np.all(np.abs(np.asarray(x) - g.center_of(c)) <= g.eta / 2 + 1e-12)
+    assert np.all(np.abs(np.asarray(x) - g.all_centers()[c.flat_id]) <= g.eta / 2 + 1e-12)
 
 
 def test_quantization_soundness_bulk():
     g = gs.UniformGrid(gs.HyperRect([0, 0, -1], [4, 4, 1]), [0.2, 0.4, 0.5])
     rng = np.random.default_rng(11)
     pts = rng.uniform(g.bounds.lower, g.bounds.upper - 1e-12, size=(10_000, 3))
+    centers = g.all_centers()
     for p in pts:
-        assert np.all(np.abs(p - g.center_of(g.cell_of(p))) <= g.eta / 2 + 1e-12)
+        assert np.all(np.abs(p - centers[g.cell_of(p).flat_id]) <= g.eta / 2 + 1e-12)
 
 
 def test_partition_no_overlap_no_gap():
@@ -235,10 +232,11 @@ def test_partition_no_overlap_no_gap():
     g = gs.UniformGrid(gs.HyperRect([0, 0], [4, 4]), [0.5, 0.5])
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 4 - 1e-12, size=(10_000, 2))
+    centers = g.all_centers()
     for p in pts:
-        c = g.cell_of(p)
-        lo = g.center_of(c) - g.eta / 2
-        hi = g.center_of(c) + g.eta / 2
+        c = centers[g.cell_of(p).flat_id]
+        lo = c - g.eta / 2
+        hi = c + g.eta / 2
         assert np.all(p >= lo - 1e-12) and np.all(p < hi + 1e-12)
 
 

@@ -62,7 +62,7 @@ class TestClosedLoop:
         ctrl = bicycle_result.concrete_controller()
         # start inside an obstacle cell: never winning
         cell = next(iter(bicycle_result.labels.obstacle_cells))
-        x0 = bicycle_result.grid.center_of(cell)
+        x0 = bicycle_result.grid.all_centers()[cell]
         traj = simulate_closed_loop(BICYCLE, ctrl, x0, bicycle_spec.tau, 50)
         assert traj.termination.kind == "LeftWinningSet"
         assert not check_reach_avoid(traj, bicycle_spec).satisfied
@@ -207,7 +207,7 @@ class TestOutputs:
         traj = traj_through([[0.5, 0.5, 0.0], [3.4, 3.4, 0.0]])
         grid = bicycle_result.grid
         cells = list(bicycle_result.labels.target_stages[0])[:5]
-        centers = [grid.center_of(c) for c in cells]
+        centers = grid.all_centers()[cells]
         rects = [gs.HyperRect(c - grid.eta / 2, c + grid.eta / 2) for c in centers]
         svg = render_svg(bicycle_spec, traj, winning_rects=rects)
         assert 'class="trajectory"' in svg

@@ -9,8 +9,11 @@ import pytest
 
 import gridsynth as gs
 from gridsynth.errors import GeometryError, SchemaError
+from gridsynth.geometry import TwoDiagonalVertices
 from gridsynth.specformat import (
     _min_cost_assignment,
+    _obstacle_pairs,
+    _rect_distance,
     canonicalize,
     parse_spec,
     semantic_diff,
@@ -428,3 +431,54 @@ class TestMinCostAssignment:
         assert _min_cost_assignment([[1.0, 1.0, 1.0]]) == [(0, 0)]
         assert _min_cost_assignment([[0.0, 0.0], [0.0, 0.0]]) == [(0, 0), (1, 1)]
         assert _min_cost_assignment([[2.0], [1.0], [1.0]]) == [(1, 0)]
+
+
+def random_obstacles(rng):
+    """Up to five 2-D and 3-D boxes with eighth-unit corners (ties are common)."""
+    rects = []
+    for _ in range(int(rng.integers(0, 6))):
+        dim = int(rng.integers(2, 4))
+        a, b = rng.integers(0, 25, (2, dim)) / 8.0
+        rects.append(gs.HyperRect(np.minimum(a, b), np.maximum(a, b)))
+    return rects
+
+
+class TestObstaclePairs:
+    def test_each_dimension_is_its_own_minimum(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            ro, co = random_obstacles(rng), random_obstacles(rng)
+            pairs = _obstacle_pairs(ro, co)
+            assert pairs == sorted(pairs)
+            assert len({i for i, _, _ in pairs}) == len({j for _, j, _ in pairs}) == len(pairs)
+            for dim in (2, 3):
+                rows = [i for i, r in enumerate(ro) if r.dim == dim]
+                cols = [j for j, c in enumerate(co) if c.dim == dim]
+                block = [(i, j, d) for i, j, d in pairs if ro[i].dim == dim]
+                assert all(co[j].dim == dim for _, j, _ in block)
+                assert all(d == _rect_distance(ro[i], co[j]) for i, j, d in block)
+                assert len(block) == min(len(rows), len(cols))
+                if block:
+                    cost = [[_rect_distance(ro[i], co[j]) for j in cols] for i in rows]
+                    assert math.fsum(d for _, _, d in block) == brute_force_min_cost(cost)
+
+    def test_diff_pairs_within_each_dimension(self):
+        # the candidate moves the 2-D obstacles and keeps the 3-D ones: with
+        # equal counts in each dimension every obstacle pairs up, so only
+        # geometry mismatches are reported, at least one when a 2-D one moved
+        ref = gs.parse_spec(json.dumps(doc()))
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            rects = [r for r in random_obstacles(rng) if np.all(r.upper <= 3.0)]
+            moved = [
+                gs.HyperRect(r.lower + 0.125 * (r.dim == 2), r.upper + 0.125 * (r.dim == 2))
+                for r in rects
+            ]
+
+            def spec(rs):
+                boxes = tuple(TwoDiagonalVertices(tuple(r.lower), tuple(r.upper)) for r in rs)
+                return dataclasses.replace(ref, obstacles=boxes)
+
+            cats = [e.category for e in semantic_diff(spec(rects), spec(moved)).entries]
+            assert set(cats) <= {"geometry_mismatch"}
+            assert bool(cats) == any(r.dim == 2 for r in rects)

@@ -1,5 +1,4 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -216,7 +215,7 @@ class TestConcrete:
         ctrl = bicycle_result.concrete_controller()
         grid = bicycle_result.grid
         cell = next(iter(bicycle_result.labels.initial_cells))
-        x = grid.center_of(cell)
+        x = grid.all_centers()[cell]
         u = ctrl(x)
         assert u.shape == (2,)
         # the returned input is the certified table entry for that cell
@@ -229,7 +228,7 @@ class TestConcrete:
         # an obstacle cell is never winning
         cell = next(iter(bicycle_result.labels.obstacle_cells))
         with pytest.raises(OutsideWinningSet):
-            ctrl(grid.center_of(cell))
+            ctrl(grid.all_centers()[cell])
 
     def test_stage_advances_on_goal_entry(self):
         table = {}
@@ -277,11 +276,6 @@ class TestExport:
     def test_reexport_of_loaded_table_is_identical(self, bicycle_result):
         text = export_controller(bicycle_result.controller, bicycle_result.grid)
         assert export_controller(*load_controller(text)) == text
-
-    def test_export_to_stream(self, bicycle_result):
-        buf = io.StringIO()
-        export_controller(bicycle_result.controller, bicycle_result.grid, stream=buf)
-        assert buf.getvalue().startswith("# gridsynth controller v1")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TABLE_EDITS))
     def test_malformed_table_names_line(self, bicycle_result, case):

@@ -9,6 +9,12 @@
 #   <case>.csv       a closed loop from the fixture's initial state
 #   exit_codes.txt    the exit code of each synth and simulate command
 #   case06.svg        case06's scene with its winning set
+#   <case>.twin.sha256, <case>.twin.txt
+#                     for case01 and case05, built with the bicycle twin that
+#                     declares no invariant_dims (the per-cell build, which
+#                     is also the stencil build's fallback): the sha256 of
+#                     the relation's indptr, succ and blocked arrays, and the
+#                     controller table, which must equal <case>.txt
 #   demo03.txt        the harness demo's report, without its first line
 #                     (that line names the checkout's fixture directory)
 #
@@ -53,6 +59,30 @@ for name, cells in rows:
 PY
   python3 -m gridsynth.cli simulate "$d/spec.json" "$out/$c.txt" -o "$out/$c.csv"
   echo "$c synth $synth simulate $?" >> "$out/exit_codes.txt"
+done
+for c in case01_warehouse_crate case05_clearance_tank; do
+  python3 - "src/gridsynth/fixtures/cases/$c/spec.json" "$out/$c.twin.txt" \
+    > "$out/$c.twin.sha256" <<'PY' || exit 1
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+from gridsynth.dynamics import BICYCLE, register_field
+from gridsynth.pipeline import synthesize
+from gridsynth.specformat import parse_spec
+from gridsynth.synthesis import export_controller
+
+register_field(dataclasses.replace(BICYCLE, invariant_dims=()))
+spec = parse_spec(Path(sys.argv[1]).read_text())
+result = synthesize(spec)
+fts = result.fts
+assert fts.stencil is None
+for name in ("indptr", "succ", "blocked"):
+    print(name, hashlib.sha256(getattr(fts, name).tobytes()).hexdigest())
+Path(sys.argv[2]).write_text(export_controller(result.controller, result.grid))
+PY
+  cmp "$out/$c.txt" "$out/$c.twin.txt" || exit 1
 done
 python3 -m gridsynth.cli synth src/gridsynth/fixtures/cases/case06_city_block/spec.json \
   -o "$out/case06_svg.txt" --svg "$out/case06.svg" || exit 1
