@@ -21,9 +21,9 @@ from .agents import (
     extract_code_block,
     pipeline_run,
 )
-from .errors import ClientError, GridSynthError
+from .errors import GridSynthError
 from .simulator import Trajectory, check_reach_avoid
-from .specformat import parse_spec, semantic_diff
+from .specformat import _finite_number, parse_spec, semantic_diff
 
 DIRECT_LLM = "direct_llm"
 CODE_AGENT_ONLY = "code_agent_only"
@@ -95,16 +95,35 @@ def load_cases(cases_dir) -> list:
 
 
 def _parse_direct_trajectory(raw: str):
+    """The plan {"trajectory": [[t, x, y, ...], ...]} of a direct-LLM reply.
+
+    Anything else raises GridSynthError: JSON that does not decode, a top
+    level that is not an object, a missing, empty or non-list trajectory,
+    rows that are not lists of at least three finite numbers all of one
+    length, or times that do not strictly increase.
+    """
     block = extract_code_block(raw)
     if block is None:
         block = raw
-    doc = json.loads(block)
-    pts = doc["trajectory"]
-    times = [p[0] for p in pts]
-    states = [p[1:] for p in pts]
-    if len(times) < 1 or any(b <= a for a, b in zip(times, times[1:])):
+    try:
+        doc = json.loads(block)
+    except json.JSONDecodeError as exc:
+        raise GridSynthError(f"plan is not JSON: {exc}") from None
+    rows = doc.get("trajectory") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not rows:
+        raise GridSynthError('plan needs a non-empty "trajectory" list')
+    width = len(rows[0]) if isinstance(rows[0], list) else 0
+    if width < 3 or not all(
+        isinstance(r, list) and len(r) == width and all(map(_finite_number, r))
+        for r in rows
+    ):
+        raise GridSynthError(
+            "trajectory rows must be [t, x, y, ...] lists of finite numbers, all of one length"
+        )
+    times = [r[0] for r in rows]
+    if any(b <= a for a, b in zip(times, times[1:])):
         raise GridSynthError("trajectory times must be strictly increasing")
-    return Trajectory.from_waypoints(times, states)
+    return Trajectory.from_waypoints(times, [r[1:] for r in rows])
 
 
 def run_paraphrase(strategy: str, client, nl: str, k_max: int = DEFAULT_K_MAX):
@@ -119,13 +138,6 @@ def run_paraphrase(strategy: str, client, nl: str, k_max: int = DEFAULT_K_MAX):
     raise GridSynthError(f"unknown strategy {strategy!r}")
 
 
-def _spec_correct(ground_truth, spec) -> bool:
-    try:
-        return semantic_diff(ground_truth, spec).ok
-    except GridSynthError:
-        return False
-
-
 def categorize(strategy: str, result, ground_truth):
     """Map a per-paraphrase result to its outcome category.
 
@@ -133,19 +145,19 @@ def categorize(strategy: str, result, ground_truth):
     the checker blocked a spec that was actually correct.
     """
     if strategy == CODE_AGENT_ONLY:
-        ok = result.parsed_spec is not None and _spec_correct(ground_truth, result.parsed_spec)
+        ok = result.parsed_spec is not None and semantic_diff(ground_truth, result.parsed_spec)
         return (CORRECT_NOT_CHECKED if ok else INCORRECT_EXECUTION), False
 
     if strategy == FULL_PIPELINE:
         outcome = result.outcome
         if isinstance(outcome, AcceptedSpec):
-            ok = _spec_correct(ground_truth, outcome.spec)
+            ok = semantic_diff(ground_truth, outcome.spec)
             return (CORRECT_CHECKED if ok else INCORRECT_EXECUTION), False
         last = result.iterations[-1] if result.iterations else None
         false_block = (
             last is not None
             and last.parsed_spec is not None
-            and _spec_correct(ground_truth, last.parsed_spec)
+            and semantic_diff(ground_truth, last.parsed_spec)
         )
         return INCORRECT_BLOCKED, false_block
 
@@ -232,8 +244,9 @@ def run_benchmark(cases, strategy: str, client, k_max: int = DEFAULT_K_MAX) -> B
     """Evaluate every (case, paraphrase) under one strategy.
 
     Deterministic under a scripted mock: cases in sorted id order,
-    paraphrases 1..3.  A per-paraphrase ClientError is recorded and the
-    paraphrase counts as not correct.
+    paraphrases 1..3.  A per-paraphrase GridSynthError (a ClientError, or a
+    direct-LLM plan that does not parse) is recorded and the paraphrase
+    counts as not correct.
     """
     report = BenchReport(strategy=strategy)
     for case in sorted(cases, key=lambda c: c.id):
@@ -244,7 +257,7 @@ def run_benchmark(cases, strategy: str, client, k_max: int = DEFAULT_K_MAX) -> B
                     strategy, result, case.ground_truth
                 )
                 report.transcripts[(case.id, para_i)] = result
-            except (ClientError, GridSynthError, json.JSONDecodeError, KeyError) as exc:
+            except GridSynthError as exc:
                 report.errors[(case.id, para_i)] = str(exc)
                 category = (
                     INCORRECT_BLOCKED

@@ -44,10 +44,6 @@ class GeometryError(GridSynthError):
     """Spec geometry is inconsistent (out of bounds, inverted, ...)."""
 
 
-class DimensionMismatch(GridSynthError):
-    """Two specs or objects disagree on state dimension."""
-
-
 class OutsideWinningSet(GridSynthError):
     """The controller is undefined at the queried state (fail-safe)."""
 

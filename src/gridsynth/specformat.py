@@ -18,6 +18,7 @@ initial is {"point": [...]} or {"rect": <tagged rectangle>}.
 
 Every number must be finite.  A ProblemSpec checks and resolves its geometry
 when it is built, by parse_spec or by dataclasses.replace alike.
+semantic_diff tells whether two specs describe the same task.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GeometryError, OutOfBounds, SchemaError
+from .errors import GeometryError, OutOfBounds, SchemaError
 from .geometry import (
     CenterAndSides,
     FourVertices,
@@ -345,200 +346,55 @@ def serialize_spec(spec: ProblemSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
-# --- semantic diffing ----------------------------------------------------------------
+# --- semantic equivalence ---------------------------------------------------------
 
 # largest coordinate or clearance difference that semantic_diff ignores
 DIFF_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class MismatchEntry:
-    category: str  # missing_obstacle, extra_obstacle, geometry_mismatch,
-    # wrong_target, wrong_target_order, wrong_initial, wrong_bounds, wrong_clearance
-    detail: str
+def _initial_box(spec: ProblemSpec) -> HyperRect:
+    p = spec.initial_point
+    return spec.initial_rect if p is None else HyperRect(p, p)
 
 
-@dataclass(frozen=True)
-class MismatchReport:
-    entries: tuple
+def _pair_up(ro, co) -> bool:
+    """True when ro and co pair one to one with every pair approx_equal.
 
-    @property
-    def ok(self):
-        return len(self.entries) == 0
-
-    def text(self) -> str:
-        if self.ok:
-            return "specs are semantically equivalent"
-        return "\n".join(f"[{e.category}] {e.detail}" for e in self.entries)
-
-
-def _rect_distance(a: HyperRect, b: HyperRect) -> float:
-    if a.dim != b.dim:
-        return float("inf")
-    return float(
-        max(np.max(np.abs(a.lower - b.lower)), np.max(np.abs(a.upper - b.upper)))
-    )
-
-
-def _min_cost_assignment(cost):
-    """(row, column) pairs of a minimum-cost assignment, sorted by row.
-
-    cost is a list of r rows of c finite floats; min(r, c) pairs are made.
-    Shortest augmenting paths with dual potentials (the Hungarian method),
-    O(r^2 c) with r <= c; a taller matrix is solved transposed.  Tie rule:
-    rows enter in index order, and each search grows its tree by the
-    unvisited column of least reduced distance, the lowest index among
-    equals.  So the pairs are a function of the matrix alone, and can
-    differ from another solver's only where optimal assignments tie.
+    A bipartite matching by augmenting paths.  Boxes of different dimension
+    never pair.
     """
-    flip = len(cost) > len(cost[0])
-    if flip:
-        cost = [list(col) for col in zip(*cost)]
-    n, m = len(cost), len(cost[0])
-    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
-    owner = [0] * (m + 1)  # 1-based row holding each column; column 0 is the root
-    for i in range(1, n + 1):
-        owner[0], j0 = i, 0
-        dist, prev, seen = [math.inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
-        while owner[j0]:
-            seen[j0] = True
-            i0, delta, j1 = owner[j0], math.inf, 0
-            row, ui = cost[i0 - 1], u[i0]
-            for j in range(1, m + 1):
-                if not seen[j]:
-                    d = row[j - 1] - ui - v[j]
-                    if d < dist[j]:
-                        dist[j], prev[j] = d, j0
-                    if dist[j] < delta:
-                        delta, j1 = dist[j], j
-            for j in range(m + 1):
-                if seen[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    dist[j] -= delta
-            j0 = j1
-        while j0:
-            owner[j0] = owner[prev[j0]]
-            j0 = prev[j0]
-    pairs = [(owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j]]
-    return sorted((j, i) for i, j in pairs) if flip else sorted(pairs)
+    if len(ro) != len(co):
+        return False
+    near = [[j for j, c in enumerate(co) if r.approx_equal(c, DIFF_TOL)] for r in ro]
+    owner = [None] * len(co)  # the obstacle of ro that each one of co is paired with
+
+    def augment(i, seen):
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(ro)))
 
 
-def _obstacle_pairs(ro, co):
-    """(i, j, distance) of a nearest-pair assignment of the obstacles ro to
-    the obstacles co, sorted by i.
+def semantic_diff(reference: ProblemSpec, candidate: ProblemSpec) -> bool:
+    """True when the two specs describe the same task, to within DIFF_TOL.
 
-    Only obstacles of one dimension pair up, so each dimension is its own
-    assignment of min(r_d, c_d) pairs, every distance in it finite.
+    That is: equal state and input bounds, clearances and initial sets (a
+    point is a degenerate box); the same targets in the same visit order;
+    and obstacles that pair one to one, each pair equal.  Specs of different
+    state dimension are never equivalent.
     """
-    pairs = []
-    for dim in sorted({r.dim for r in ro} & {c.dim for c in co}):
-        rows = [i for i, r in enumerate(ro) if r.dim == dim]
-        cols = [j for j, c in enumerate(co) if c.dim == dim]
-        cost = [[_rect_distance(ro[i], co[j]) for j in cols] for i in rows]
-        pairs += [(rows[a], cols[b], cost[a][b]) for a, b in _min_cost_assignment(cost)]
-    return sorted(pairs)
-
-
-def _rect_str(r: HyperRect) -> str:
-    return f"[{', '.join(f'{v:g}' for v in r.lower)}] .. [{', '.join(f'{v:g}' for v in r.upper)}]"
-
-
-def semantic_diff(reference: ProblemSpec, candidate: ProblemSpec) -> MismatchReport:
-    """Componentwise geometric comparison of two specs, to within DIFF_TOL.
-
-    Obstacles are matched by nearest-pair assignment; target order is
-    compared exactly because visit order is part of the semantics.
-    """
-    if reference.state_bounds.dim != candidate.state_bounds.dim:
-        raise DimensionMismatch(
-            f"state dims {reference.state_bounds.dim} vs {candidate.state_bounds.dim}"
-        )
-    entries = []
-
-    def add(category, detail):
-        entries.append(MismatchEntry(category, detail))
-
-    if not reference.state_bounds.approx_equal(candidate.state_bounds, DIFF_TOL):
-        add(
-            "wrong_bounds",
-            f"state bounds {_rect_str(candidate.state_bounds)} != "
-            f"{_rect_str(reference.state_bounds)}",
-        )
-    if not reference.input_bounds.approx_equal(candidate.input_bounds, DIFF_TOL):
-        add(
-            "wrong_bounds",
-            f"input bounds {_rect_str(candidate.input_bounds)} != "
-            f"{_rect_str(reference.input_bounds)}",
-        )
-
-    if abs(reference.clearance - candidate.clearance) > DIFF_TOL:
-        add("wrong_clearance", f"clearance {candidate.clearance:g} != {reference.clearance:g}")
-
-    # initial set
-    def initial_as_rect(s):
-        if s.initial_point is not None:
-            return HyperRect(s.initial_point, s.initial_point)
-        return s.initial_rect
-
-    ri, ci = initial_as_rect(reference), initial_as_rect(candidate)
-    if ri.dim != ci.dim or _rect_distance(ri, ci) > DIFF_TOL:
-        add("wrong_initial", f"initial {_rect_str(ci)} != {_rect_str(ri)}")
-
-    # targets: order is semantic
     rt, ct = reference.target_rects, candidate.target_rects
-    if len(rt) != len(ct):
-        add("wrong_target", f"target count {len(ct)} != {len(rt)}")
-    else:
-        index_mismatch = [
-            i for i in range(len(rt)) if _rect_distance(rt[i], ct[i]) > DIFF_TOL
-        ]
-        if index_mismatch:
-            # same multiset but permuted -> ordering error, else geometry
-            def multiset_match():
-                used = set()
-                for r in rt:
-                    hit = next(
-                        (
-                            j
-                            for j, c in enumerate(ct)
-                            if j not in used and _rect_distance(r, c) <= DIFF_TOL
-                        ),
-                        None,
-                    )
-                    if hit is None:
-                        return False
-                    used.add(hit)
-                return True
-
-            if multiset_match():
-                add(
-                    "wrong_target_order",
-                    f"targets visited in the wrong order (positions {index_mismatch})",
-                )
-            else:
-                for i in index_mismatch:
-                    add("wrong_target", f"target {i}: {_rect_str(ct[i])} != {_rect_str(rt[i])}")
-
-    # obstacles: nearest-pair assignment on the sorted rects
-    ro, co = reference.obstacle_rects, candidate.obstacle_rects
-    matched_r, matched_c = set(), set()
-    for i, j, distance in _obstacle_pairs(ro, co):
-        if distance <= DIFF_TOL or len(ro) == len(co):
-            matched_r.add(i)
-            matched_c.add(j)
-            if distance > DIFF_TOL:
-                add(
-                    "geometry_mismatch",
-                    f"obstacle {_rect_str(co[j])} differs from {_rect_str(ro[i])} "
-                    f"by {distance:g}",
-                )
-    for i in range(len(ro)):
-        if i not in matched_r:
-            add("missing_obstacle", f"obstacle {_rect_str(ro[i])} missing from candidate")
-    for j in range(len(co)):
-        if j not in matched_c:
-            add("extra_obstacle", f"candidate has extra obstacle {_rect_str(co[j])}")
-
-    return MismatchReport(entries=tuple(entries))
+    return bool(
+        reference.state_bounds.approx_equal(candidate.state_bounds, DIFF_TOL)
+        and reference.input_bounds.approx_equal(candidate.input_bounds, DIFF_TOL)
+        and abs(reference.clearance - candidate.clearance) <= DIFF_TOL
+        and _initial_box(reference).approx_equal(_initial_box(candidate), DIFF_TOL)
+        and len(rt) == len(ct)
+        and all(r.approx_equal(c, DIFF_TOL) for r, c in zip(rt, ct))
+        and _pair_up(reference.obstacle_rects, candidate.obstacle_rects)
+    )

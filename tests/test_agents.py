@@ -217,9 +217,7 @@ class TestPipeline:
         t = pipeline_run(client, NL)
         assert isinstance(t.outcome, AcceptedSpec)
         assert len(t.iterations) == 1
-        assert gs.semantic_diff(
-            bicycle_spec, t.outcome.spec
-        ).ok
+        assert gs.semantic_diff(bicycle_spec, t.outcome.spec)
 
     def test_accept_after_feedback(self, bicycle_spec):
         fb = "The obstacle should span x from 1.6 to 2.4, not 2.0 to 2.8."

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import itertools
 import json
 import math
 
@@ -8,19 +7,17 @@ import numpy as np
 import pytest
 
 import gridsynth as gs
+from gridsynth.bench import fixtures_dir, load_cases
 from gridsynth.errors import GeometryError, SchemaError
-from gridsynth.geometry import TwoDiagonalVertices
+from gridsynth.geometry import CenterAndSides, TwoDiagonalVertices
 from gridsynth.specformat import (
-    _min_cost_assignment,
-    _obstacle_pairs,
-    _rect_distance,
     canonicalize,
     parse_spec,
     semantic_diff,
     serialize_spec,
 )
 
-from conftest import bicycle_spec_doc
+from conftest import bicycle_spec_doc, case01_spec
 
 
 def doc():
@@ -155,7 +152,7 @@ class TestRoundTrip:
     def test_serialize_parse_round_trip(self):
         spec = parse_doc(doc())
         again = parse_spec(serialize_spec(spec))
-        assert semantic_diff(spec, again).ok
+        assert semantic_diff(spec, again)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(31)
@@ -172,7 +169,7 @@ class TestRoundTrip:
                                       float(rng.uniform(0.1, 0.9)), 0.0]}
             spec = parse_doc(d)
             again = parse_spec(serialize_spec(spec))
-            assert semantic_diff(spec, again).ok
+            assert semantic_diff(spec, again)
 
     def test_serialized_is_valid_strict_json(self):
         text = serialize_spec(parse_doc(doc()))
@@ -268,41 +265,38 @@ class TestSemanticDiff:
         mutate(d)
         return semantic_diff(self.ref(), parse_doc(d))
 
-    def cats(self, report):
-        return [e.category for e in report.entries]
-
     def test_equal_specs_ok(self):
-        assert semantic_diff(self.ref(), self.ref()).ok
+        assert semantic_diff(self.ref(), self.ref()) is True
 
     def test_wrong_bounds(self):
         def m(d):
             d["state_bounds"] = {"lower": [0.0, 0.0, -math.pi],
                                  "upper": [5.0, 4.0, math.pi]}
-        assert "wrong_bounds" in self.cats(self.diff_with(m))
+        assert not self.diff_with(m)
 
     def test_wrong_clearance(self):
         def m(d):
             d["clearance"] = 0.25
-        assert self.cats(self.diff_with(m)) == ["wrong_clearance"]
+        assert self.diff_with(m) is False
 
     def test_wrong_initial(self):
         def m(d):
             d["initial"] = {"point": [1.5, 0.5, 0.0]}
-        assert self.cats(self.diff_with(m)) == ["wrong_initial"]
+        assert not self.diff_with(m)
 
     def test_wrong_target_geometry(self):
         def m(d):
             d["targets"] = [
                 {"kind": "diagonal", "points": [[2.6, 2.6], [3.4, 3.4]]}
             ]
-        assert self.cats(self.diff_with(m)) == ["wrong_target"]
+        assert not self.diff_with(m)
 
     def test_wrong_target_count(self):
         def m(d):
             d["targets"].append(
                 {"kind": "diagonal", "points": [[0.2, 3.0], [0.8, 3.8]]}
             )
-        assert self.cats(self.diff_with(m)) == ["wrong_target"]
+        assert not self.diff_with(m)
 
     def test_wrong_target_order(self):
         a = doc()
@@ -312,31 +306,31 @@ class TestSemanticDiff:
         ]
         b = copy.deepcopy(a)
         b["targets"] = list(reversed(b["targets"]))
-        report = semantic_diff(
-            parse_doc(a), parse_doc(b)
-        )
-        assert self.cats(report) == ["wrong_target_order"]
+        assert semantic_diff(parse_doc(a), parse_doc(a))
+        assert not semantic_diff(parse_doc(a), parse_doc(b))
 
     def test_shifted_obstacle_is_geometry_mismatch(self):
         def m(d):
             d["obstacles"] = [
                 {"kind": "diagonal", "points": [[2.1, 1.6], [2.9, 2.4]]}
             ]
-        assert "geometry_mismatch" in self.cats(self.diff_with(m))
+        assert not self.diff_with(m)
 
     def test_missing_obstacle(self):
         def m(d):
             d["obstacles"] = []
-        assert self.cats(self.diff_with(m)) == ["missing_obstacle"]
+        assert not self.diff_with(m)
 
     def test_extra_obstacle(self):
         def m(d):
             d["obstacles"].append(
                 {"kind": "diagonal", "points": [[0.4, 3.0], [0.8, 3.4]]}
             )
-        assert self.cats(self.diff_with(m)) == ["extra_obstacle"]
+        assert not self.diff_with(m)
 
     def test_dimension_mismatch_raises(self):
+        # the name is historical: specs of different state dimension are
+        # simply not equivalent
         d = doc()
         other = {
             "system": "bicycle",
@@ -353,24 +347,14 @@ class TestSemanticDiff:
             "initial": {"point": [0.5, 0.5]},
             "clearance": 0.0,
         }
-        with pytest.raises(gs.GridSynthError):
-            semantic_diff(
-                parse_doc(d),
-                parse_spec(json.dumps(other)),
-            )
-
-    def test_report_text_lists_categories(self):
-        def m(d):
-            d["clearance"] = 0.25
-        report = self.diff_with(m)
-        assert "[wrong_clearance]" in report.text()
-        assert semantic_diff(self.ref(), self.ref()).text() == \
-            "specs are semantically equivalent"
+        a, b = parse_doc(d), parse_spec(json.dumps(other))
+        assert semantic_diff(a, b) is False
+        assert semantic_diff(b, a) is False
 
     def test_tolerance_absorbs_tiny_perturbation(self):
         def m(d):
             d["clearance"] = 1e-9
-        assert self.diff_with(m).ok
+        assert self.diff_with(m)
 
     def test_random_perturbations_detected(self):
         rng = np.random.default_rng(63)
@@ -381,56 +365,35 @@ class TestSemanticDiff:
             verts = d["obstacles"][0]["points"]
             for v in verts:
                 v[axis] += shift
-            report = semantic_diff(self.ref(), parse_doc(d))
-            assert not report.ok
-            assert "geometry_mismatch" in self.cats(report)
+            assert not semantic_diff(self.ref(), parse_doc(d))
 
+    def test_near_duplicate_obstacles_pair_crosswise(self):
+        # reference x in {1, 1 + e}, candidate x in {1, 1 - e}: pairing
+        # 1 with 1 leaves a gap of 2e > DIFF_TOL, but 1 + e -> 1 and
+        # 1 -> 1 - e are each e < DIFF_TOL apart
+        e = 3 * 2.0 ** -22
 
-def brute_force_min_cost(cost):
-    """Least total cost over every assignment of min(r, c) pairs."""
-    r, c = len(cost), len(cost[0])
-    if r <= c:
-        return min(
-            math.fsum(cost[i][p[i]] for i in range(r))
-            for p in itertools.permutations(range(c), r)
-        )
-    return min(
-        math.fsum(cost[p[j]][j] for j in range(c))
-        for p in itertools.permutations(range(r), c)
-    )
+        def spec(xs):
+            boxes = tuple(TwoDiagonalVertices((x, 1.0), (x + 0.5, 1.5)) for x in xs)
+            return dataclasses.replace(case01_spec(), obstacles=boxes)
 
+        assert semantic_diff(spec([1.0, 1.0 + e]), spec([1.0, 1.0 - e])) is True
+        assert not semantic_diff(spec([1.0, 1.0 + 2 * e]), spec([1.0, 1.0 - e]))
 
-class TestMinCostAssignment:
-    def matrices(self):
-        """Tie-heavy integers, integers with 1e18 sentinels, and eighths,
-        for every shape from 1 x 1 to 6 x 6."""
-        rng = np.random.default_rng(31)
-        for r, c in itertools.product(range(1, 7), repeat=2):
-            for _ in range(3):
-                yield rng.integers(0, 3, (r, c)).astype(float).tolist()
-                m = rng.integers(0, 10, (r, c)).astype(float)
-                m[rng.random((r, c)) < 0.4] = 1e18
-                yield m.tolist()
-                yield (rng.integers(0, 40, (r, c)) / 8.0).tolist()
-
-    def test_minimum_cost_equals_brute_force(self):
-        for cost in self.matrices():
-            pairs = _min_cost_assignment(cost)
-            rows = [i for i, _ in pairs]
-            cols = [j for _, j in pairs]
-            assert len(pairs) == min(len(cost), len(cost[0]))
-            assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
-            total = math.fsum(cost[i][j] for i, j in pairs)
-            assert total == brute_force_min_cost(cost), cost
-
-    def test_same_input_gives_same_pairs(self):
-        for cost in self.matrices():
-            assert _min_cost_assignment(copy.deepcopy(cost)) == _min_cost_assignment(cost)
-
-    def test_tie_rule_takes_lowest_column(self):
-        assert _min_cost_assignment([[1.0, 1.0, 1.0]]) == [(0, 0)]
-        assert _min_cost_assignment([[0.0, 0.0], [0.0, 0.0]]) == [(0, 0), (1, 1)]
-        assert _min_cost_assignment([[2.0], [1.0], [1.0]]) == [(1, 0)]
+    def test_center_sides_reencoding_is_equivalent(self):
+        rounded = 0
+        for case in load_cases(fixtures_dir()):
+            gt = case.ground_truth
+            again = dataclasses.replace(gt, obstacles=tuple(
+                CenterAndSides(tuple((r.lower + r.upper) / 2), tuple(r.upper - r.lower))
+                for r in gt.obstacle_rects
+            ))
+            rounded += not all(
+                np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
+                for a, b in zip(gt.obstacle_rects, again.obstacle_rects)
+            )
+            assert semantic_diff(gt, again)
+        assert rounded  # some corners really differ by float rounding
 
 
 def random_obstacles(rng):
@@ -444,28 +407,10 @@ def random_obstacles(rng):
 
 
 class TestObstaclePairs:
-    def test_each_dimension_is_its_own_minimum(self):
-        rng = np.random.default_rng(41)
-        for _ in range(400):
-            ro, co = random_obstacles(rng), random_obstacles(rng)
-            pairs = _obstacle_pairs(ro, co)
-            assert pairs == sorted(pairs)
-            assert len({i for i, _, _ in pairs}) == len({j for _, j, _ in pairs}) == len(pairs)
-            for dim in (2, 3):
-                rows = [i for i, r in enumerate(ro) if r.dim == dim]
-                cols = [j for j, c in enumerate(co) if c.dim == dim]
-                block = [(i, j, d) for i, j, d in pairs if ro[i].dim == dim]
-                assert all(co[j].dim == dim for _, j, _ in block)
-                assert all(d == _rect_distance(ro[i], co[j]) for i, j, d in block)
-                assert len(block) == min(len(rows), len(cols))
-                if block:
-                    cost = [[_rect_distance(ro[i], co[j]) for j in cols] for i in rows]
-                    assert math.fsum(d for _, _, d in block) == brute_force_min_cost(cost)
-
     def test_diff_pairs_within_each_dimension(self):
-        # the candidate moves the 2-D obstacles and keeps the 3-D ones: with
-        # equal counts in each dimension every obstacle pairs up, so only
-        # geometry mismatches are reported, at least one when a 2-D one moved
+        # the candidate moves the 2-D obstacles and keeps the 3-D ones: a 2-D
+        # box never pairs with a 3-D one, so the specs are equivalent exactly
+        # when no 2-D obstacle moved
         ref = gs.parse_spec(json.dumps(doc()))
         rng = np.random.default_rng(43)
         for _ in range(60):
@@ -479,6 +424,6 @@ class TestObstaclePairs:
                 boxes = tuple(TwoDiagonalVertices(tuple(r.lower), tuple(r.upper)) for r in rs)
                 return dataclasses.replace(ref, obstacles=boxes)
 
-            cats = [e.category for e in semantic_diff(spec(rects), spec(moved)).entries]
-            assert set(cats) <= {"geometry_mismatch"}
-            assert bool(cats) == any(r.dim == 2 for r in rects)
+            assert semantic_diff(spec(rects), spec(moved)) == (
+                not any(r.dim == 2 for r in rects)
+            )

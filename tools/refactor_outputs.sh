@@ -17,6 +17,11 @@
 #                     controller table, which must equal <case>.txt
 #   demo03.txt        the harness demo's report, without its first line
 #                     (that line names the checkout's fixture directory)
+#   grader.txt        the code_agent_only category that bench.categorize
+#                     gives drafts made from each fixture's ground truth:
+#                     serialized as is, re-encoded as center_sides, obstacles
+#                     reversed, first obstacle shifted by DIFF_TOL/2 and by
+#                     2*DIFF_TOL, clearance + 0.25, first two targets swapped
 #
 # A change that should keep behaviour is checked by running this script in
 # two checkouts and comparing the directories with `diff -r`.
@@ -89,3 +94,56 @@ python3 -m gridsynth.cli synth src/gridsynth/fixtures/cases/case06_city_block/sp
 python3 demos/03_benchmark.py > "$out/demo03.full" || exit 1
 tail -n +2 "$out/demo03.full" > "$out/demo03.txt"
 rm "$out/demo03.full"
+python3 - > "$out/grader.txt" <<'PY' || exit 1
+import dataclasses
+
+import numpy as np
+
+from gridsynth import agents, bench
+from gridsynth.geometry import CenterAndSides, TwoDiagonalVertices
+from gridsynth.specformat import DIFF_TOL, parse_spec, serialize_spec
+
+
+def center_sides(rects):
+    return tuple(
+        CenterAndSides(tuple((r.lower + r.upper) / 2), tuple(r.upper - r.lower))
+        for r in rects
+    )
+
+
+def shifted(gt, delta):
+    """gt with its first obstacle moved along x by delta, inward."""
+    rects = gt.obstacle_rects
+    step = np.zeros(rects[0].dim)
+    step[0] = delta if rects[0].upper[0] + delta <= gt.state_bounds.upper[0] else -delta
+    boxes = [(r.lower, r.upper) for r in rects]
+    boxes[0] = (rects[0].lower + step, rects[0].upper + step)
+    return dataclasses.replace(
+        gt, obstacles=tuple(TwoDiagonalVertices(tuple(a), tuple(b)) for a, b in boxes)
+    )
+
+
+for case in bench.load_cases(bench.fixtures_dir()):
+    gt = case.ground_truth
+    drafts = {
+        "serialized": parse_spec(serialize_spec(gt)),
+        "center_sides": dataclasses.replace(
+            gt,
+            obstacles=center_sides(gt.obstacle_rects),
+            targets=center_sides(gt.target_rects),
+        ),
+        "obstacles_reversed": dataclasses.replace(gt, obstacles=gt.obstacles[::-1]),
+    }
+    if gt.obstacles:
+        drafts["shift_half_tol"] = shifted(gt, DIFF_TOL / 2)
+        drafts["shift_twice_tol"] = shifted(gt, 2 * DIFF_TOL)
+    drafts["clearance_plus_0.25"] = dataclasses.replace(gt, clearance=gt.clearance + 0.25)
+    if len(gt.targets) >= 2:
+        drafts["targets_swapped"] = dataclasses.replace(
+            gt, targets=(gt.targets[1], gt.targets[0], *gt.targets[2:])
+        )
+    for kind, draft in drafts.items():
+        iteration = agents.Iteration("", "", parsed_spec=draft)
+        category, _ = bench.categorize(bench.CODE_AGENT_ONLY, iteration, gt)
+        print(case.id, kind, category)
+PY
