@@ -47,26 +47,38 @@ from .errors import EmptyInputSet, EmptyTarget, GeometryError
 from .geometry import SNAP_TOL, HyperRect, UniformGrid, _clip, _expand, _strides, snap
 
 
-def build_input_grid(input_bounds: HyperRect, eta_u) -> np.ndarray:
-    """Quantized input set: lattice points k*eta_u inside the closed input box.
-
-    Enumerated row-major; returns an (num_inputs, m) array.
-    """
+def input_index_ranges(input_bounds: HyperRect, eta_u) -> list:
+    """Per input axis, the first and last k with k*eta_u inside the closed box."""
     eta_u = np.asarray(eta_u, dtype=float)
     if eta_u.shape != input_bounds.lower.shape:
         raise GeometryError("eta_u dimension mismatch with input bounds")
     if np.any(eta_u <= 0):
         raise GeometryError("eta_u must be positive componentwise")
-    axes = []
+    ranges = []
     for i in range(input_bounds.dim):
-        k_min = int(np.ceil(snap(input_bounds.lower[i] / eta_u[i])))
-        k_max = int(np.floor(snap(input_bounds.upper[i] / eta_u[i])))
+        lo = snap(input_bounds.lower[i] / eta_u[i])
+        hi = snap(input_bounds.upper[i] / eta_u[i])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise GeometryError(f"eta_u {eta_u[i]} is too small for its input bounds")
+        k_min, k_max = int(np.ceil(lo)), int(np.floor(hi))
         if k_min > k_max:
             raise EmptyInputSet(
                 f"no multiple of {eta_u[i]} inside "
                 f"[{input_bounds.lower[i]}, {input_bounds.upper[i]}]"
             )
-        axes.append(np.arange(k_min, k_max + 1) * eta_u[i])
+        ranges.append((k_min, k_max))
+    return ranges
+
+
+def build_input_grid(input_bounds: HyperRect, eta_u) -> np.ndarray:
+    """Quantized input set: lattice points k*eta_u inside the closed input box.
+
+    Enumerated row-major; returns an (num_inputs, m) array.
+    """
+    axes = [
+        np.arange(k_min, k_max + 1) * float(eta)
+        for (k_min, k_max), eta in zip(input_index_ranges(input_bounds, eta_u), eta_u)
+    ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 

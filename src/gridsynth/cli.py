@@ -27,7 +27,7 @@ from .agents import (
     pipeline_run,
 )
 from .dynamics import get_field
-from .errors import ClientError, GridSynthError
+from .errors import ClientError, GridSynthError, SchemaError
 from .pipeline import synthesize
 from .simulator import (
     check_reach_avoid,
@@ -108,11 +108,26 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
     return x0
 
 
+def _check_same_grid(table_grid, spec_grid):
+    """SchemaError naming the first header field where the table's grid is not the spec's."""
+    for name, got, want in (
+        ("state_lower", table_grid.bounds.lower, spec_grid.bounds.lower),
+        ("state_upper", table_grid.bounds.upper, spec_grid.bounds.upper),
+        ("eta", table_grid.eta, spec_grid.eta),
+        ("periodic", table_grid.periodic, spec_grid.periodic),
+    ):
+        if not np.array_equal(got, want):
+            raise SchemaError(f"controller table was built for another grid: its {name} is "
+                              f"{np.asarray(got).tolist()}, the spec's grid has "
+                              f"{np.asarray(want).tolist()}")
+
+
 def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise UsageError(f"--steps must be non-negative, got {args.steps}")
     spec = parse_spec(_read_text(args.spec, "spec file"))
     controller, grid = load_controller(_read_text(args.controller, "controller file"))
+    _check_same_grid(grid, spec.build_grid())
     field = get_field(spec.system_name)
 
     if args.x0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     NegativeSide,
     NonAxisAligned,
     OutOfBounds,
+    SchemaError,
 )
 
 # Tolerance for "is this float an exact lattice multiple" decisions.
@@ -33,6 +35,21 @@ SNAP_TOL = 1e-9
 # indices.  From 2**53 on a float has no fractional digit left, and with
 # indices within +-(2**53 + 1) no difference of two of them wraps in int64.
 LATTICE_LIMIT = 2.0**53
+
+# Most per-cell array entries a run may ask for: cells x inputs for a spec,
+# cells x stages x row numbers (value, choice, inputs) for a controller table.
+# The per-cell build of case12 (27,900 cells x 49 inputs = 1.37 M pairs, the
+# largest fixture) peaks near 128 B per pair under tracemalloc: 2**24 is 12
+# times case12, so a build stays near 2 GB and a table near 134 MB.
+SIZE_BUDGET = 2**24
+
+
+def check_size(what: str, **counts) -> None:
+    """SchemaError naming the estimate when the product of counts passes SIZE_BUDGET."""
+    if (total := math.prod(counts.values())) > SIZE_BUDGET:
+        terms = " x ".join(f"{n} {name}" for name, n in counts.items())
+        raise SchemaError(f"{what} needs {terms} = {Decimal(total):.3g} entries, "
+                          f"over the size budget of {SIZE_BUDGET}")
 
 
 def _as_vector(v, name="vector"):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
-from .abstraction import build_abstraction, build_input_grid, label_cells
+from .abstraction import build_abstraction, build_input_grid, input_index_ranges, label_cells
 from .dynamics import get_field
+from .geometry import check_size
 from .specformat import ProblemSpec
 from .synthesis import ConcreteController, solve_sequential
 
@@ -30,7 +32,7 @@ class SynthesisResult:
     @property
     def initial_winning(self) -> bool:
         pol = self.controller.stages[0]
-        return all(pol.winning[c] for c in self.labels.initial_cells)
+        return bool(pol.winning[list(self.labels.initial_cells)].all())
 
     def concrete_controller(self) -> ConcreteController:
         return ConcreteController(self.controller, self.grid)
@@ -40,6 +42,8 @@ def synthesize(spec: ProblemSpec) -> SynthesisResult:
     """Abstract the system, label the spec geometry, and solve the game."""
     field = get_field(spec.system_name)
     grid = spec.build_grid()
+    ranges = input_index_ranges(spec.input_bounds, spec.eta_u)
+    check_size("spec", cells=grid.num_cells, inputs=math.prod(b - a + 1 for a, b in ranges))
     inputs = build_input_grid(spec.input_bounds, spec.eta_u)
 
     t0 = time.perf_counter()
@@ -47,9 +51,7 @@ def synthesize(spec: ProblemSpec) -> SynthesisResult:
     t1 = time.perf_counter()
     labels = label_cells(grid, spec)
     t2 = time.perf_counter()
-    controller = solve_sequential(fts, labels)
-    controller.inputs = inputs
-    controller.input_dim = inputs.shape[1]
+    controller = solve_sequential(fts, labels, inputs)
     t3 = time.perf_counter()
 
     return SynthesisResult(

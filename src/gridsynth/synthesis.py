@@ -20,69 +20,73 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .abstraction import FiniteTransitionSystem, LabeledCells
 from .errors import GeometryError, OutsideWinningSet, SchemaError
-from .geometry import HyperRect, UniformGrid
-
+from .geometry import HyperRect, UniformGrid, check_size
 
 @dataclass
 class StagePolicy:
-    """Winning set, certified input choice, and step-to-goal value for one stage."""
+    """One stage of a controller: a value and an input choice per cell.
 
-    winning: np.ndarray  # bool per state
-    choice: np.ndarray  # input id per state, -1 where none (goal or losing)
-    value: np.ndarray  # worst-case steps to goal, -1 where losing
-    goal: frozenset  # the (possibly shrunk) goal cells of this stage
-    input_vec: np.ndarray = field(default=None)  # per-cell inputs, set on import
+    value[s] is the worst-case number of steps from cell s into the stage's
+    goal: 0 on a goal cell, -1 where s is losing.  choice[s] is the row of the
+    controller's inputs certified at s, -1 on goal and losing cells (a goal
+    cell's input is never applied).  winning (value >= 0) and goal (value == 0)
+    are read-only views that build a new array or set on each access: read
+    them once per function, not once per cell.
+    """
+
+    value: np.ndarray  # int64 per cell
+    choice: np.ndarray  # int64 per cell
+    # per-cell input rows, filled by load_controller only (zeros on goal cells);
+    # perfbench's round-trip check is its only reader
+    input_vec: np.ndarray = None
+
+    @property
+    def winning(self) -> np.ndarray:
+        return self.value >= 0
+
+    @property
+    def goal(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.value == 0).tolist())
 
 
 @dataclass
 class SymbolicController:
-    """Ordered stage policies plus the quantized input table."""
+    """Ordered stage policies plus the input table their choices index.
+
+    A solved controller's table is the quantized input grid; a loaded one's is
+    the file's non-goal input rows, in row order.  Goal-row inputs are not
+    kept, so export writes zeros there, as every exported table has.
+    """
 
     stages: list
-    inputs: np.ndarray  # (num_inputs, m); may be empty on import
-    input_dim: int = 0
-
-    def __post_init__(self):
-        if self.inputs is not None and self.inputs.size:
-            self.input_dim = self.inputs.shape[1]
+    inputs: np.ndarray  # (num_inputs, m)
 
     @property
     def num_stages(self):
         return len(self.stages)
 
+    @property
+    def input_dim(self):
+        return self.inputs.shape[1]
+
     def input_for(self, stage: int, cell: int) -> np.ndarray:
-        pol = self.stages[stage]
-        if pol.input_vec is not None:
-            return pol.input_vec[cell]
-        cid = int(pol.choice[cell])
-        if cid < 0:
-            return np.zeros(self.input_dim)
-        return self.inputs[cid]
+        cid = self.stages[stage].choice[cell]
+        return self.inputs[cid] if cid >= 0 else np.zeros(self.input_dim)
 
 
-def _solve_stage(fts: FiniteTransitionSystem, obstacle_set, goal_set) -> StagePolicy:
-    """Backward fixed point for a single reach-avoid stage."""
-    S, U = fts.num_states, fts.num_inputs
-    obstacle = np.zeros(S, dtype=bool)
-    if obstacle_set:
-        obstacle[np.fromiter(obstacle_set, dtype=np.int64)] = True
-
-    winning = np.zeros(S, dtype=bool)
+def _solve_stage(fts: FiniteTransitionSystem, obstacle, goal) -> StagePolicy:
+    """Backward fixed point for a single reach-avoid stage (cell masks in)."""
+    S = fts.num_states
     value = np.full(S, -1, dtype=np.int64)
     choice = np.full(S, -1, dtype=np.int64)
-
-    goal = np.fromiter(goal_set, dtype=np.int64) if goal_set else np.zeros(0, np.int64)
-    goal = goal[~obstacle[goal]]
-    winning[goal] = True
-    value[goal] = 0
-
-    frontier = np.sort(goal)
+    frontier = np.flatnonzero(goal & ~obstacle)
+    value[frontier] = 0
     outstanding = None
     level = 0
     while frontier.size:
@@ -102,50 +106,47 @@ def _solve_stage(fts: FiniteTransitionSystem, obstacle_set, goal_set) -> StagePo
         cand = qs[starts]
         outstanding[cand] -= np.diff(np.append(starts, total)).astype(np.int32)
         cand = cand[outstanding[cand] == 0]
-        s = cand % S
-        u = cand // S
-        keep = ~winning[s] & ~obstacle[s]
+        u, s = np.divmod(cand, S)
+        keep = (value[s] < 0) & ~obstacle[s]
         s, u = s[keep], u[keep]
         if s.size == 0:
-            frontier = np.zeros(0, np.int64)
-            continue
+            break
         # smallest certifying input id per newly winning state
         order = np.lexsort((u, s))
         s, u = s[order], u[order]
         first = np.concatenate([[True], s[1:] != s[:-1]])
         s, u = s[first], u[first]
-        winning[s] = True
         value[s] = level
         choice[s] = u
         frontier = s
-    return StagePolicy(
-        winning=winning, choice=choice, value=value, goal=frozenset(int(g) for g in goal)
-    )
+    return StagePolicy(value=value, choice=choice)
 
 
-def solve_sequential(fts: FiniteTransitionSystem, labels: LabeledCells) -> SymbolicController:
-    """Solve all target stages last-to-first.
+def _mask(cells, size) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[np.fromiter(cells, dtype=np.int64, count=len(cells))] = True
+    return mask
 
-    Stage i's goal is shrunk to the part of its target that is winning for
-    stage i+1, so a runtime stage handover always lands in the next stage's
-    winning set.
+
+def solve_sequential(
+    fts: FiniteTransitionSystem, labels: LabeledCells, inputs: np.ndarray
+) -> SymbolicController:
+    """Solve all target stages last-to-first; choices index the rows of inputs.
+
+    Stage i's goal is its target cells that are winning for stage i+1, so a
+    runtime stage handover always lands in the next stage's winning set.
     """
-    stages = [None] * len(labels.target_stages)
-    next_pol = None
-    for i in range(len(labels.target_stages) - 1, -1, -1):
-        goal = set(labels.target_stages[i])
-        if next_pol is not None:
-            goal = {c for c in goal if next_pol.winning[c]}
-        pol = _solve_stage(fts, labels.obstacle_cells, goal)
-        if labels.initial_cells and i == 0:
-            if not any(pol.winning[c] for c in labels.initial_cells):
-                warnings.warn(
-                    "no initial cell is winning for stage 0 (EmptyWinningSet)",
-                    stacklevel=2,
-                )
-        stages[i] = pol
-        next_pol = pol
-    return SymbolicController(stages=stages, inputs=None)
+    S = fts.num_states
+    obstacle, initial = _mask(labels.obstacle_cells, S), _mask(labels.initial_cells, S)
+    stages = []
+    next_winning = np.ones(S, dtype=bool)
+    for target in reversed(labels.target_stages):
+        pol = _solve_stage(fts, obstacle, _mask(target, S) & next_winning)
+        next_winning = pol.winning
+        stages.insert(0, pol)
+    if initial.any() and not (next_winning & initial).any():
+        warnings.warn("no initial cell is winning for stage 0 (EmptyWinningSet)", stacklevel=2)
+    return SymbolicController(stages=stages, inputs=inputs)
 
 
 class ConcreteController:
@@ -170,11 +171,12 @@ class ConcreteController:
         cell = self.grid.cell_of(x).flat_id
         stages = self.controller.stages
         last = len(stages) - 1
-        while self.stage < last and cell in stages[self.stage].goal:
+        while self.stage < last and stages[self.stage].value[cell] == 0:
             self.stage += 1
-        if self.stage == last and cell in stages[last].goal:
+        value = stages[self.stage].value[cell]
+        if value == 0:
             return None
-        if not stages[self.stage].winning[cell]:
+        if value < 0:
             raise OutsideWinningSet(
                 f"cell {cell} is not winning at stage {self.stage}; halting is required"
             )
@@ -187,8 +189,9 @@ class ConcreteController:
 def export_controller(ctrl: SymbolicController, grid: UniformGrid) -> str:
     """Self-describing text table: one line per winning cell and stage.
 
-    Columns: flat_id stage value input-components.  The header records the
-    grid so the file can be replayed without the original spec object.
+    Columns: flat_id stage value input-components; a goal row (value 0)
+    writes zero inputs.  The header records the grid so the file can be
+    replayed without the original spec object.
     """
     buf = io.StringIO()
     fmt = lambda v: " ".join(repr(float(x)) for x in v)  # noqa: E731
@@ -200,26 +203,27 @@ def export_controller(ctrl: SymbolicController, grid: UniformGrid) -> str:
     buf.write(f"# stages: {ctrl.num_stages}\n")
     buf.write(f"# input_dim: {ctrl.input_dim}\n")
     buf.write("# columns: flat_id stage value inputs...\n")
+    # choice -1 (a goal cell) picks the zero vector appended last
+    table = np.vstack([ctrl.inputs, np.zeros((1, ctrl.input_dim))])
+    labels = [fmt(u) for u in table]
     for stage_i, pol in enumerate(ctrl.stages):
         cells = np.flatnonzero(pol.winning)
-        if pol.input_vec is not None:  # imported table: one input row per cell
-            table, ids = pol.input_vec[cells], np.arange(cells.size)
-        else:  # choice -1 (a goal cell) picks the zero vector appended last
-            table = np.vstack([ctrl.inputs, np.zeros((1, ctrl.input_dim))])
-            ids = pol.choice[cells]
-        labels = [fmt(u) for u in table]
-        buf.writelines(
-            f"{c} {stage_i} {v} {labels[k]}\n"
-            for c, v, k in zip(cells.tolist(), pol.value[cells].tolist(), ids.tolist())
-        )
+        rows = zip(cells.tolist(), pol.value[cells].tolist(), pol.choice[cells].tolist())
+        buf.writelines(f"{c} {stage_i} {v} {labels[k]}\n" for c, v, k in rows)
     return buf.getvalue()
 
 
 def load_controller(text: str):
     """Parse an exported controller table. Returns (SymbolicController, UniformGrid).
 
-    The header (the leading '#' lines) and every row are validated; a
-    malformed field or row raises SchemaError naming its line.
+    The controller has the solved form: its inputs are the non-goal rows'
+    inputs in row order, and choice[cell] is the index of that cell's row.
+    Goal rows (value 0) keep choice -1: their input is never applied and not
+    kept, so a re-export writes zeros there, as export always does.  The
+    header (the leading '#' lines) and every row are validated; a malformed
+    field or row raises SchemaError naming its line.  A header whose cells x
+    stages x row numbers pass geometry.SIZE_BUDGET raises SchemaError before
+    any per-cell array is made.
     """
     lines = text.splitlines()
     header = {}
@@ -260,18 +264,9 @@ def load_controller(text: str):
     except GeometryError as exc:
         raise SchemaError(f"controller table header: {exc}") from None
     S = grid.num_cells
-    stages = []
-    for _ in range(num_stages):
-        stages.append(
-            StagePolicy(
-                winning=np.zeros(S, dtype=bool),
-                choice=np.full(S, -1, dtype=np.int64),
-                value=np.full(S, -1, dtype=np.int64),
-                goal=frozenset(),
-                input_vec=np.zeros((S, input_dim)),
-            )
-        )
-    goals = [set() for _ in range(num_stages)]
+    check_size("controller table", cells=S, stages=num_stages, numbers=2 + input_dim)
+    row_value = {}  # stage * S + cell -> value, in row order
+    flat_inputs = []  # the non-goal rows' inputs, in row order
     width = 3 + input_dim
     for lineno, line in enumerate(lines[start:], start=start + 1):
         parts = line.split()
@@ -281,26 +276,28 @@ def load_controller(text: str):
             cell, stage_i, val = map(int, parts[:3])
             u = [float(v) for v in parts[3:]]
             if not (len(parts) == width and 0 <= cell < S and 0 <= stage_i < num_stages
-                    and val >= 0 and all(map(math.isfinite, u))):
+                    and 0 <= val < S and all(map(math.isfinite, u))):
                 raise ValueError
         except ValueError:
             raise SchemaError(
                 f"malformed row {line.strip()!r}: want flat_id in [0, {S}), "
-                f"stage in [0, {num_stages}), value >= 0 and {input_dim} finite inputs",
+                f"stage in [0, {num_stages}), value in [0, {S}) and {input_dim} finite inputs",
                 path=f"controller line {lineno}",
             ) from None
-        pol = stages[stage_i]
-        if pol.winning[cell]:
-            raise SchemaError(
-                f"repeated row for cell {cell} at stage {stage_i}",
-                path=f"controller line {lineno}",
-            )
-        pol.winning[cell] = True
-        pol.value[cell] = val
-        pol.input_vec[cell] = u
-        if val == 0:
-            goals[stage_i].add(cell)
-    for pol, goal in zip(stages, goals):
-        pol.goal = frozenset(goal)
-    ctrl = SymbolicController(stages=stages, inputs=None, input_dim=input_dim)
-    return ctrl, grid
+        if (key := stage_i * S + cell) in row_value:
+            raise SchemaError(f"repeated row for cell {cell} at stage {stage_i}",
+                              path=f"controller line {lineno}")
+        row_value[key] = val
+        if val:
+            flat_inputs.extend(u)
+    keys = np.fromiter(row_value, dtype=np.int64, count=len(row_value))
+    vals = np.fromiter(row_value.values(), dtype=np.int64, count=len(row_value))
+    nongoal = vals > 0
+    inputs = np.array(flat_inputs, dtype=float).reshape(int(nongoal.sum()), input_dim)
+    value = np.full((num_stages, S), -1, dtype=np.int64)
+    value.flat[keys] = vals
+    choice = np.full((num_stages, S), -1, dtype=np.int64)
+    choice.flat[keys[nongoal]] = np.arange(inputs.shape[0])
+    padded = np.vstack([inputs, np.zeros((1, input_dim))])
+    stages = [StagePolicy(value=v, choice=c, input_vec=padded[c]) for v, c in zip(value, choice)]
+    return SymbolicController(stages=stages, inputs=inputs), grid

@@ -109,6 +109,11 @@ def make_random_fts(rng, max_states=200, max_inputs=5):
     )
 
 
+def input_table(fts):
+    """A one-component input table for fts: row u holds the number u."""
+    return np.arange(fts.num_inputs, dtype=float)[:, None]
+
+
 def brute_force_reach_avoid(fts, obstacle_set, target_set):
     """Reference game solver: repeated predecessor sweeps until stable."""
     S, U = fts.num_states, fts.num_inputs

@@ -18,7 +18,7 @@ from gridsynth.abstraction import (
 from gridsynth.errors import EmptyInputSet, EmptyTarget
 from gridsynth.geometry import SNAP_TOL, HyperRect, UniformGrid
 from gridsynth.pipeline import synthesize
-from gridsynth.synthesis import _solve_stage
+from gridsynth.synthesis import _mask, _solve_stage
 
 from conftest import case01_spec, make_random_fts
 
@@ -388,7 +388,7 @@ def policies(fts, grid):
     """Solved stage of a fixed goal and obstacle layer, as comparable arrays."""
     goal = set(range(0, grid.num_cells, 7))
     obstacles = frozenset(range(3, grid.num_cells, 11)) - goal
-    pol = _solve_stage(fts, obstacles, goal)
+    pol = _solve_stage(fts, _mask(obstacles, grid.num_cells), _mask(goal, grid.num_cells))
     return pol.winning, pol.value, pol.choice
 
 

@@ -37,6 +37,7 @@ from conftest import (
     brute_force_reach_avoid,
     correct_response,
     fenced,
+    input_table,
     make_random_fts,
     perturbed_response,
 )
@@ -98,7 +99,7 @@ def test_criterion_2_solver_oracle_equivalence():
             target_stages=(frozenset(target),),
             initial_cells=frozenset(),
         )
-        pol = solve_sequential(fts, labels).stages[0]
+        pol = solve_sequential(fts, labels, input_table(fts)).stages[0]
         win_ref, val_ref = brute_force_reach_avoid(fts, obstacle, target)
         if set(np.flatnonzero(pol.winning).tolist()) != win_ref:
             mismatches += 1

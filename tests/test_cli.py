@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -35,6 +36,17 @@ def spec_file(tmp_path_factory):
 def controller_file(tmp_path_factory, spec_file):
     out = tmp_path_factory.mktemp("cli") / "controller.txt"
     assert main(["synth", str(spec_file), "-o", str(out)]) == 0
+    return out
+
+
+def fixture_spec(case):
+    return fixtures_dir() / case / "spec.json"
+
+
+@pytest.fixture(scope="module")
+def case01_table(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "case01.txt"
+    assert main(["synth", str(fixture_spec("case01_warehouse_crate")), "-o", str(out)]) == 0
     return out
 
 
@@ -126,6 +138,23 @@ class TestSynth:
         assert "initial point in no grid cell" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        # 40,000 x 40,000 x 31 cells: no per-cell array is made
+        ({"eta_x": [1e-4, 1e-4, 0.2]},
+         "spec needs 49600000000 cells x 49 inputs = 2.43e+12 entries, "
+         "over the size budget of 16777216"),
+        # 2,000,001 x 2,000,001 inputs: the input grid is not made
+        ({"eta_u": [1e-6, 1e-6]},
+         "spec needs 12400 cells x 4000004000001 inputs = 4.96e+16 entries"),
+        ({"eta_u": [1e-309, 0.3]}, "eta_u 1e-309 is too small for its input bounds"),
+    ])
+    def test_spec_past_the_size_budget_exits_1(self, tmp_path, capsys, override, message):
+        big = tmp_path / "big.json"
+        big.write_text(bicycle_spec_text(**override))
+        assert main(["synth", str(big), "-o", str(tmp_path / "x.txt")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path / "x.txt")]) == 2
@@ -188,6 +217,31 @@ class TestSimulate:
         assert proc.returncode == 1, proc.stderr
         assert ("error: controller has state dimension 3 and input dimension 1; "
                 "field 'bicycle' has 3 and 2") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_table_for_another_grid_is_an_error_not_a_traceback(self, case01_table):
+        # case01's 4 x 4 m table replayed on case11's 5 x 5 m task
+        proc = run_cli("simulate", str(fixture_spec("case11_clearance_corridor")),
+                       str(case01_table))
+        assert proc.returncode == 1, proc.stderr
+        assert ("error: controller table was built for another grid: its state_upper is "
+                "[4.0, 4.0, 3.141592653589793], the spec's grid has "
+                "[5.0, 5.0, 3.141592653589793]\n") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_table_past_the_size_budget_is_an_error_not_a_traceback(
+        self, tmp_path, case01_table
+    ):
+        # the header claims 4,000 x 4,000 x 2,000 cells; no per-cell array is made
+        lines = case01_table.read_text().splitlines()
+        assert lines[3].startswith("# eta:")
+        lines[3] = f"# eta: 0.001 0.001 {2 * math.pi / 2000!r}"
+        table = tmp_path / "huge.txt"
+        table.write_text("\n".join(lines) + "\n")
+        proc = run_cli("simulate", str(fixture_spec("case01_warehouse_crate")), str(table))
+        assert proc.returncode == 1, proc.stderr
+        assert ("error: controller table needs 32000000000 cells x 1 stages x 4 numbers "
+                "= 1.28e+11 entries, over the size budget of 16777216\n") in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_bad_x0_or_steps_is_a_usage_error_not_a_traceback(

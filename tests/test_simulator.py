@@ -22,12 +22,9 @@ def traj_through(points, dt=0.1):
 
 def line_controller(winning, goal, u):
     """One-stage controller on ten unit cells over [0, 10] with one input."""
-    pol = StagePolicy(
-        winning=np.asarray(winning, dtype=bool),
-        choice=np.zeros(10, dtype=np.int64),
-        value=np.ones(10, dtype=np.int64),
-        goal=frozenset(goal),
-    )
+    value = np.where(np.asarray(winning, dtype=bool), 1, -1)
+    value[list(goal)] = 0
+    pol = StagePolicy(value=value, choice=np.zeros(10, dtype=np.int64))
     ctrl = gs.SymbolicController(stages=[pol], inputs=np.array([[u]]))
     return gs.ConcreteController(ctrl, gs.UniformGrid(gs.HyperRect([0.0], [10.0]), [1.0]))
 

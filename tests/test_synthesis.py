@@ -6,8 +6,11 @@ import pytest
 import gridsynth as gs
 from gridsynth.abstraction import FiniteTransitionSystem, LabeledCells
 from gridsynth.bench import fixtures_dir
+from gridsynth.dynamics import BICYCLE
 from gridsynth.errors import GridSynthError, OutsideWinningSet
+from gridsynth.simulator import simulate_closed_loop, trajectory_to_csv
 from gridsynth.synthesis import (
+    _mask,
     _solve_stage,
     export_controller,
     load_controller,
@@ -17,6 +20,7 @@ from gridsynth.synthesis import (
 from conftest import (
     MALFORMED_TABLE_EDITS,
     brute_force_reach_avoid,
+    input_table,
     make_random_fts,
     malformed_table,
 )
@@ -55,7 +59,7 @@ class TestSolveReachAvoid:
     def test_three_state_chain(self):
         # 0 -> 1 -> 2 -> 2 under the only input; target {2}
         fts = fts_from_dict(3, 1, {(0, 0): [1], (1, 0): [2], (2, 0): [2]})
-        pol = solve_sequential(fts, labels({2})).stages[0]
+        pol = solve_sequential(fts, labels({2}), input_table(fts)).stages[0]
         assert pol.winning.tolist() == [True, True, True]
         assert pol.value.tolist() == [2, 1, 0]
         assert pol.choice[0] == 0 and pol.choice[1] == 0
@@ -68,33 +72,33 @@ class TestSolveReachAvoid:
             {(0, 0): [2, 3], (0, 1): [2], (2, 0): [2], (2, 1): [2],
              (3, 0): [3], (3, 1): [3]},
         )
-        pol = solve_sequential(fts, labels({2})).stages[0]
+        pol = solve_sequential(fts, labels({2}), input_table(fts)).stages[0]
         assert pol.winning[0]
         assert pol.choice[0] == 1
         assert not pol.winning[3]
 
     def test_obstacle_excluded(self):
         fts = fts_from_dict(3, 1, {(0, 0): [1], (1, 0): [2], (2, 0): [2]})
-        pol = solve_sequential(fts, labels({2}, obstacles={1})).stages[0]
+        pol = solve_sequential(fts, labels({2}, obstacles={1}), input_table(fts)).stages[0]
         assert not pol.winning[0]
         assert not pol.winning[1]
         assert pol.winning[2]
 
     def test_obstacle_target_overlap_obstacle_wins(self):
         fts = fts_from_dict(2, 1, {(0, 0): [1], (1, 0): [1]})
-        pol = solve_sequential(fts, labels({0, 1}, obstacles={0})).stages[0]
+        pol = solve_sequential(fts, labels({0, 1}, obstacles={0}), input_table(fts)).stages[0]
         assert not pol.winning[0]
         assert pol.winning[1]
 
     def test_tie_break_smallest_input(self):
         fts = fts_from_dict(2, 3, {(0, 1): [1], (0, 2): [1], (1, 0): [1]})
-        pol = solve_sequential(fts, labels({1})).stages[0]
+        pol = solve_sequential(fts, labels({1}), input_table(fts)).stages[0]
         assert pol.choice[0] == 1
 
     def test_empty_winning_warns(self):
         fts = fts_from_dict(2, 1, {(0, 0): [0], (1, 0): [1]})
         with pytest.warns(UserWarning, match="EmptyWinningSet"):
-            solve_sequential(fts, labels({1}, initial={0}))
+            solve_sequential(fts, labels({1}, initial={0}), input_table(fts))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -107,7 +111,8 @@ class TestSolveReachAvoid:
                                     replace=False).tolist()) - obstacle
             if not target:
                 continue
-            pol = solve_sequential(fts, labels(target, obstacles=obstacle)).stages[0]
+            ctrl = solve_sequential(fts, labels(target, obstacles=obstacle), input_table(fts))
+            pol = ctrl.stages[0]
             win_ref, val_ref = brute_force_reach_avoid(fts, obstacle, target)
             assert set(np.flatnonzero(pol.winning).tolist()) == win_ref
             for s in win_ref:
@@ -119,7 +124,7 @@ class TestSolveReachAvoid:
         rng = np.random.default_rng(7)
         fts = make_random_fts(rng)
         target = {0, 1}
-        pol = solve_sequential(fts, labels(target)).stages[0]
+        pol = solve_sequential(fts, labels(target), input_table(fts)).stages[0]
         win = set(np.flatnonzero(pol.winning).tolist())
         for s in range(fts.num_states):
             if s in win:
@@ -131,8 +136,8 @@ class TestSolveReachAvoid:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         fts = make_random_fts(rng)
-        a = solve_sequential(fts, labels({0})).stages[0]
-        b = solve_sequential(fts, labels({0})).stages[0]
+        a = solve_sequential(fts, labels({0}), input_table(fts)).stages[0]
+        b = solve_sequential(fts, labels({0}), input_table(fts)).stages[0]
         assert np.array_equal(a.winning, b.winning)
         assert np.array_equal(a.choice, b.choice)
         assert np.array_equal(a.value, b.value)
@@ -143,7 +148,7 @@ class TestSolveReachAvoid:
         for _ in range(10):
             fts = make_random_fts(rng)
             target = {0}
-            pol = solve_sequential(fts, labels(target)).stages[0]
+            pol = solve_sequential(fts, labels(target), input_table(fts)).stages[0]
             for s in np.flatnonzero(pol.winning):
                 if int(s) in target:
                     continue
@@ -163,7 +168,7 @@ class TestSolveSequential:
 
     def test_two_targets_in_order(self):
         fts = self.make_line()
-        ctrl = solve_sequential(fts, labels(None, stages=[{2}, {4}]))
+        ctrl = solve_sequential(fts, labels(None, stages=[{2}, {4}]), input_table(fts))
         assert ctrl.num_stages == 2
         assert ctrl.stages[0].winning.all()
         assert ctrl.stages[1].winning.all()
@@ -177,7 +182,7 @@ class TestSolveSequential:
             (1, 1): [3], (3, 0): [3], (3, 1): [3], (0, 1): [2],
         }
         fts = fts_from_dict(4, 2, table)
-        ctrl = solve_sequential(fts, labels(None, stages=[{1, 2}, {3}]))
+        ctrl = solve_sequential(fts, labels(None, stages=[{1, 2}, {3}]), input_table(fts))
         assert 1 in ctrl.stages[0].goal
         assert 2 not in ctrl.stages[0].goal
         assert not ctrl.stages[0].winning[2]
@@ -195,8 +200,10 @@ class TestSolveSequential:
             )
             assert wide.succ.dtype == np.int64
             goal = set(rng.choice(wide.num_states, size=3, replace=False).tolist())
-            a = _solve_stage(wide, frozenset({0}) - goal, goal)
-            b = _solve_stage(narrow, frozenset({0}) - goal, goal)
+            S = wide.num_states
+            obstacle, goal = _mask(frozenset({0}) - goal, S), _mask(goal, S)
+            a = _solve_stage(wide, obstacle, goal)
+            b = _solve_stage(narrow, obstacle, goal)
             assert np.array_equal(a.winning, b.winning)
             assert np.array_equal(a.value, b.value)
             assert np.array_equal(a.choice, b.choice)
@@ -204,8 +211,9 @@ class TestSolveSequential:
     def test_single_stage_equals_plain_solver(self):
         rng = np.random.default_rng(3)
         fts = make_random_fts(rng)
-        a = _solve_stage(fts, frozenset(), {0, 1})
-        b = solve_sequential(fts, labels({0, 1})).stages[0]
+        S = fts.num_states
+        a = _solve_stage(fts, _mask((), S), _mask({0, 1}, S))
+        b = solve_sequential(fts, labels({0, 1}), input_table(fts)).stages[0]
         assert np.array_equal(a.winning, b.winning)
         assert np.array_equal(a.choice, b.choice)
 
@@ -236,9 +244,7 @@ class TestConcrete:
             table[(s, 0)] = [min(s + 1, 4)]
             table[(s, 1)] = [max(s - 1, 0)]
         fts = fts_from_dict(5, 2, table)
-        ctrl = solve_sequential(fts, labels(None, stages=[{2}, {4}]))
-        ctrl.inputs = np.array([[1.0], [-1.0]])
-        ctrl.input_dim = 1
+        ctrl = solve_sequential(fts, labels(None, stages=[{2}, {4}]), np.array([[1.0], [-1.0]]))
         grid = gs.UniformGrid(gs.HyperRect([0.0], [5.0]), [1.0])
         cc = gs.ConcreteController(ctrl, grid)
         assert cc.stage == 0
@@ -276,6 +282,22 @@ class TestExport:
     def test_reexport_of_loaded_table_is_identical(self, bicycle_result):
         text = export_controller(bicycle_result.controller, bicycle_result.grid)
         assert export_controller(*load_controller(text)) == text
+
+    def test_loaded_table_replays_the_closed_loop_of_the_solved_one(self):
+        # case04 has two stages, so the loop hands over from stage 0 to stage 1
+        doc = (fixtures_dir() / "case04_loading_dock_sequence" / "spec.json").read_text()
+        spec = gs.parse_spec(doc)
+        result = gs.synthesize(spec)
+        text = export_controller(result.controller, result.grid)
+        solved = result.concrete_controller()
+        loaded = gs.ConcreteController(*load_controller(text))
+        runs = [
+            simulate_closed_loop(BICYCLE, ctrl, spec.initial_point, spec.tau, max_steps=500)
+            for ctrl in (solved, loaded)
+        ]
+        assert runs[1].termination.kind == "ReachedTarget"
+        assert loaded.stage == 1
+        assert trajectory_to_csv(runs[1]) == trajectory_to_csv(runs[0])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TABLE_EDITS))
     def test_malformed_table_names_line(self, bicycle_result, case):

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Write the program's deterministic outputs into the directory OUT:
-#   <case>.txt        the controller table of each of the 20 shipped fixtures
+#   <case>.txt        the controller table of each of the 20 shipped fixtures,
+#                     which must export to itself again after load_controller
 #   <case>.counts     the count lines of the fixture's synth summary (abstract
 #                     states, inputs, transitions, relation store, winning
 #                     fraction)
@@ -64,6 +65,16 @@ for name, cells in rows:
 PY
   python3 -m gridsynth.cli simulate "$d/spec.json" "$out/$c.txt" -o "$out/$c.csv"
   echo "$c synth $synth simulate $?" >> "$out/exit_codes.txt"
+  python3 - "$out/$c.txt" <<'PY' || exit 1
+import sys
+from pathlib import Path
+
+from gridsynth.synthesis import export_controller, load_controller
+
+text = Path(sys.argv[1]).read_text()
+if export_controller(*load_controller(text)) != text:
+    sys.exit(f"{sys.argv[1]}: the loaded table re-exports differently")
+PY
 done
 for c in case01_warehouse_crate case05_clearance_tank; do
   python3 - "src/gridsynth/fixtures/cases/$c/spec.json" "$out/$c.twin.txt" \
