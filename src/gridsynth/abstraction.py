@@ -7,14 +7,14 @@ touches.  Pairs whose box exits the gridded domain in a non-periodic
 dimension are marked blocked: no transition is claimed, which is the
 conservative choice.
 
-The relation is kept in one of two stores; both give the same successor
-sets in the same deterministic order.  The CSR store holds every pair's
-successor list (flat successor array + offsets).  A field that declares
-invariant_dims gets the stencil store instead: there a pair's successor box,
-taken relative to the pair's own cell in the invariant dimensions, depends
-only on its class (the grid index of the other dimensions, together with the
-input), so one box per class and each pair's blocked flag and successor
-count describe the whole relation.
+The relation is kept in one of two stores; FiniteTransitionSystem.successors
+reads the same successor sets in the same order from either.  The CSR store
+holds every pair's successor list (flat successor array + offsets).  A field
+that declares invariant_dims gets the stencil store instead: there a pair's
+successor box, taken relative to the pair's own cell in the invariant
+dimensions, depends only on its class (the grid index of the other
+dimensions, together with the input), so one box per class and each pair's
+blocked flag and successor count describe the whole relation.
 
 That store is built from per-dimension factors.  Every value the per-cell
 build computes, a center coordinate after RK4, its exit flag and its cell
@@ -114,6 +114,15 @@ def _map_inputs(fn, items):
 def _index_dtype(max_value: int):
     """Narrowest index dtype for values up to max_value: int32 below 2**31."""
     return np.int32 if max_value < 2**31 else np.int64
+
+
+def _rows(indptr, data, rows):
+    """(ptr, data) of the CSR rows listed in rows, one after another."""
+    lo = indptr[rows]
+    lens = indptr[rows + 1] - lo
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return ptr, data[np.repeat(lo - ptr[:-1], lens) + np.arange(ptr[-1])]
 
 
 # --- successor boxes -------------------------------------------------------------
@@ -240,32 +249,19 @@ class StencilStore:
             return f"class {bad[0]}: its cells' successor boxes differ"
         return first[..., 0], first[..., 1], has
 
-    def expand(self, lo, width, cells, blocked):
-        """Sorted successor lists of the pairs (cells, u) under one input's boxes."""
-        c = self.cls[cells]
-        k_min = lo[c]
+    def successors(self, pairs):
+        """(ptr, succ) of the pair ids: each pair's box moved to its cell and
+        clipped, then listed in order; empty for a blocked pair."""
+        S, n = self.grid.num_cells, self.grid.n
+        cells = pairs % S
+        box = pairs // S * self.num_classes + self.cls[cells]
+        k_min = self.lo.reshape(-1, n)[box]
         k_min[:, self.inv] += self.multi[cells][:, self.inv]
-        k_lo, span, counts = _clip(k_min, k_min + width[c], blocked, self.shape, self.periodic)
-        index = _index_dtype(self.grid.num_cells)
-        return _expand(k_lo, span, counts, self.shape, self.periodic, index)
-
-    def successors(self, s, u):
-        S = self.grid.num_cells
-        q = u * S + s
-        return self.expand(self.lo[u], self.width[u], [s], self.blocked[q : q + 1])
-
-    def csr(self):
-        """(indptr, succ) of the whole relation, one input per pool task."""
-        S, U = self.grid.num_cells, len(self.lo)
-
-        def block(u):
-            return self.expand(
-                self.lo[u], self.width[u], slice(None), self.blocked[u * S : (u + 1) * S]
-            )
-
-        indptr = np.zeros(S * U + 1, dtype=np.int64)
-        np.cumsum(self.counts, dtype=np.int64, out=indptr[1:])
-        return indptr, np.concatenate(list(_map_inputs(block, range(U))))
+        k_max = k_min + self.width.reshape(-1, n)[box]
+        k_lo, span, counts = _clip(k_min, k_max, self.blocked[pairs], self.shape, self.periodic)
+        ptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        return ptr, _expand(k_lo, span, counts, self.shape, self.periodic, _index_dtype(S))
 
     def _predecessor_tables(self):
         """Per target class, every (source class, box cell) that reaches it.
@@ -364,17 +360,17 @@ class StencilStore:
 class FiniteTransitionSystem:
     """Transition relation over abstract states and inputs.
 
-    Pair (state s, input u) lives at index u * num_states + s.  delta(s, u)
-    is its successor list, sorted and duplicate-free, and blocked[q] marks
-    the pairs that claim no transition.  The relation sits in one of two
-    stores:
+    Pair (state s, input u) lives at index u * num_states + s.  successors
+    lists a batch of pairs' successors, each sorted and duplicate-free, and
+    blocked[q] marks the pairs that claim no transition.  The relation sits
+    in one of two stores, each answering successors its own way:
 
     - CSR (stencil is None): succ[indptr[q]:indptr[q+1]] lists pair q's
       successors; the solver gathers predecessors from reverse().
     - stencil (a StencilStore, built for a field that declares
       invariant_dims): one successor box per class plus per-pair counts.
-      indptr and succ are then a CSR view expanded on first read and
-      cached; reverse() is built from that view.
+      indptr and succ are then a CSR view, built from successors on first
+      read and cached for perfbench's checks; reverse() is built from it.
 
     fallback says why a field that declares invariant_dims got the CSR store
     anyway (None when it did not).  Index arrays take _index_dtype of their
@@ -403,8 +399,15 @@ class FiniteTransitionSystem:
         self._reverse = None
 
     def _view(self):
+        # perfbench's checks are the only reader of a stencil store's view
         if self._csr is None:
-            self._csr = self.stencil.csr()
+            S, U = self.num_states, self.num_inputs
+            blocks = _map_inputs(
+                lambda u: self.successors(np.arange(u * S, (u + 1) * S))[1], range(U)
+            )
+            indptr = np.zeros(S * U + 1, dtype=np.int64)
+            np.cumsum(self.stencil.counts, dtype=np.int64, out=indptr[1:])
+            self._csr = indptr, np.concatenate(list(blocks))
         return self._csr
 
     @property
@@ -415,11 +418,12 @@ class FiniteTransitionSystem:
     def succ(self) -> np.ndarray:
         return self._view()[1]
 
-    def delta(self, s: int, u: int) -> np.ndarray:
+    def successors(self, pairs):
+        """(ptr, succ) for an int64 array of pair ids: succ[ptr[i]:ptr[i+1]]
+        lists pair i's successors, sorted, and is empty for a blocked pair."""
         if self.stencil is not None:
-            return self.stencil.successors(s, u)
-        q = u * self.num_states + s
-        return self.succ[self.indptr[q] : self.indptr[q + 1]]
+            return self.stencil.successors(pairs)
+        return _rows(*self._csr, pairs)
 
     @property
     def num_transitions(self) -> int:
@@ -445,11 +449,7 @@ class FiniteTransitionSystem:
         """
         if self.stencil is not None:
             return self.stencil.predecessors(frontier)
-        rev_indptr, rev_pairs = self.reverse()
-        lo = rev_indptr[frontier]
-        lens = rev_indptr[frontier + 1] - lo
-        total = int(lens.sum())
-        return rev_pairs[np.repeat(lo - (np.cumsum(lens) - lens), lens) + np.arange(total)]
+        return _rows(*self.reverse(), frontier)[1]
 
     def reverse(self):
         """Predecessor map: for each state s', the pair ids q with s' in succ(q).

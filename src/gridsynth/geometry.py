@@ -265,6 +265,21 @@ class CellIndex:
     flat_id: int
 
 
+def _cells_per_axis(bounds: HyperRect, eta) -> np.ndarray:
+    """Per axis, the bounds' width over eta; GeometryError naming the first
+    axis where that is not finite and below 2**63, i.e. not an int64 count."""
+    with np.errstate(all="ignore"):
+        width = bounds.upper - bounds.lower
+        ratio = width / eta
+    for i, r in enumerate(ratio):
+        if not r < 2.0**63:
+            raise GeometryError(
+                f"axis {i}: width {width[i]} over eta {eta[i]} is {r} cells, "
+                "not a finite count below 2**63"
+            )
+    return ratio
+
+
 def snap_eta_periodic(bounds: HyperRect, eta, periodic):
     """Adjust eta on periodic dimensions to the nearest exact divisor of the width.
 
@@ -272,11 +287,11 @@ def snap_eta_periodic(bounds: HyperRect, eta, periodic):
     left untouched (and rejected later if not divisible).
     """
     eta = _as_vector(eta, "eta").copy()
+    ratio = _cells_per_axis(bounds, eta)
     for i, per in enumerate(periodic):
         if per:
-            width = bounds.upper[i] - bounds.lower[i]
-            k = max(1, int(round(width / eta[i])))
-            eta[i] = width / k
+            k = max(1, int(round(ratio[i])))
+            eta[i] = (bounds.upper[i] - bounds.lower[i]) / k
     return eta
 
 
@@ -300,7 +315,7 @@ class UniformGrid:
         if len(periodic) != bounds.dim:
             raise GeometryError("periodic flags dimension mismatch")
 
-        ratio = (bounds.upper - bounds.lower) / eta
+        ratio = _cells_per_axis(bounds, eta)
         shape = np.round(ratio).astype(int)
         if np.any(np.abs(ratio - shape) > SNAP_TOL) or np.any(shape < 1):
             raise GeometryError(

@@ -127,7 +127,7 @@ def brute_force_reach_avoid(fts, obstacle_set, target_set):
             if s in winning or s in obstacle_set or s in target_set:
                 continue
             for u in range(U):
-                d = fts.delta(s, u)
+                d = fts.successors(np.array([u * S + s]))[1]
                 if d.size and all(int(x) in winning for x in d):
                     added.add(s)
                     break

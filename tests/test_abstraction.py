@@ -264,7 +264,7 @@ class TestIndexPaths:
         wrapped = 0
         for u, u_vec in enumerate(WRAP_INPUTS):
             for s in range(fts.num_states):
-                got = fts.delta(s, u)
+                got = fts.successors(np.array([u * fts.num_states + s]))[1]
                 want = reference_successors(WRAP_GRID, field, u_vec, s)
                 if want is None:
                     assert fts.blocked[u * fts.num_states + s] and got.size == 0, (s, u)
@@ -315,9 +315,10 @@ class TestPool:
             built.append(build_abstraction(*case))
         first = built[0]
         assert (first.nonfinite_pairs > 0) == (name == "non-finite")
+        every = np.arange(first.num_states * first.num_inputs)
         for fts in built[1:]:
-            assert np.array_equal(fts.indptr, first.indptr)
-            assert np.array_equal(fts.succ, first.succ)
+            for got, want in zip(fts.successors(every), first.successors(every)):
+                assert np.array_equal(got, want)
             assert np.array_equal(fts.blocked, first.blocked)
             assert fts.nonfinite_pairs == first.nonfinite_pairs
             for got, want in zip(fts.reverse(), first.reverse()):
@@ -393,14 +394,15 @@ def policies(fts, grid):
 
 
 def assert_same_relation(got, want, grid, pairs=None):
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.succ, want.succ) and got.succ.dtype == want.succ.dtype
+    every = np.arange(got.num_states * got.num_inputs)
+    for a, b in zip(got.successors(every), want.successors(every)):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
     assert np.array_equal(got.blocked, want.blocked)
     assert got.nonfinite_pairs == want.nonfinite_pairs
     assert got.num_transitions == want.num_transitions
-    for q in range(got.num_states * got.num_inputs) if pairs is None else pairs:
-        s, u = q % got.num_states, q // got.num_states
-        assert np.array_equal(got.delta(s, u), want.delta(s, u)), (s, u)
+    for q in every if pairs is None else pairs:
+        one = np.array([q])
+        assert np.array_equal(got.successors(one)[1], want.successors(one)[1]), q
     for a, b in zip(policies(got, grid), policies(want, grid)):
         assert np.array_equal(a, b)
 
@@ -425,8 +427,8 @@ class TestStencilStore:
         assert fts.stencil is not None and fts.fallback is None
         assert twin.stencil is None and twin.fallback is None
         assert (fts.nonfinite_pairs > 0) == (name == "non-finite")
-        # case01 has 607,600 pairs: every one is in the view, a sample
-        # goes through delta
+        # case01 has 607,600 pairs: every one goes through one batch, a
+        # sample through one-pair batches
         size = fts.num_states * fts.num_inputs
         pairs = None if size < 10_000 else np.random.default_rng(1).choice(size, 3000)
         assert_same_relation(fts, twin, grid, pairs)
@@ -513,14 +515,50 @@ class TestStencilStore:
         assert sum(rows) <= U * (4 * dynamics.SUBSTEPS + 2) * C
         assert C * J < grid.num_cells
 
+    @pytest.mark.parametrize("name,dims", STENCIL_CASES + [("fallback", (0, 2))])
+    def test_successors_of_a_mixed_batch(self, name, dims, monkeypatch):
+        # inputs mixed, blocked pairs and repeated ids in one batch, against
+        # the per-cell twin's CSR rows
+        if name == "fallback":
+            monkeypatch.setattr(abstraction.StencilStore, "boxes", lambda self, *r: "forced")
+        case, twin_field = stencil_case("periodic-wrap" if name == "fallback" else name, dims)
+        fts = build_abstraction(*case)
+        twin = build_abstraction(case[0], case[1], twin_field, case[3])
+        assert (fts.stencil is None) == (name == "fallback") and twin.stencil is None
+        S, U = fts.num_states, fts.num_inputs
+        rng = np.random.default_rng(4)
+        blocked = rng.choice(np.flatnonzero(fts.blocked), 5)
+        batch = np.concatenate([rng.integers(0, S * U, 60), blocked, [0, 0, S * U - 1]])
+        batch = np.concatenate([batch, batch[::7]])
+        rng.shuffle(batch)
+        assert len(np.unique(batch // S)) > 1
+        for store in fts, twin:
+            ptr, succ = store.successors(batch)
+            assert ptr.dtype == np.int64 and succ.dtype == _index_dtype(S)
+            rows = np.split(succ, ptr[1:-1])
+            assert len(rows) == len(batch) and ptr[0] == 0 and ptr[-1] == len(succ)
+            for q, row in zip(batch, rows):
+                assert np.array_equal(row, twin.succ[twin.indptr[q] : twin.indptr[q + 1]]), q
+            assert (np.diff(ptr)[fts.blocked[batch]] == 0).all()
+            ptr, succ = store.successors(np.zeros(0, dtype=np.int64))
+            assert ptr.tolist() == [0] and succ.size == 0
+            assert ptr.dtype == np.int64 and succ.dtype == _index_dtype(S)
+
     def test_synthesis_builds_no_csr_view(self):
-        fts = synthesize(case01_spec()).fts
+        result = synthesize(case01_spec())
+        fts, S = result.fts, result.fts.num_states
         assert fts.stencil is not None and fts.fallback is None
         assert fts.num_transitions > 0
-        fts.delta(5, 3)
-        assert fts._csr is None  # counts, delta and the solver read the stencils
+        for pol in result.controller.stages:
+            cells = np.flatnonzero(pol.choice >= 0)
+            ptr, succ = fts.successors(pol.choice[cells] * S + cells)
+            assert cells.size and (np.diff(ptr) > 0).all() and pol.winning[succ].all()
+        # counts, successors and the solver read the stencils
+        assert fts._csr is None
         assert fts.succ.size == fts.num_transitions
         assert fts._csr is not None
+        every = fts.successors(np.arange(S * fts.num_inputs))
+        assert np.array_equal(fts.indptr, every[0]) and np.array_equal(fts.succ, every[1])
 
 
 class TestExtremes:
@@ -538,7 +576,7 @@ class TestExtremes:
         fts = build_abstraction(grid, np.array([[0.0], [1.0]]), field, 1.0)
         assert fts.num_transitions == 512
         assert not fts.blocked.any()
-        assert fts.delta(5, 1).tolist() == list(range(16))
+        assert fts.successors(np.array([16 + 5]))[1].tolist() == list(range(16))
         # a full-ring box is one box for every cell: no fallback to CSR
         assert fts.fallback is None
         assert (fts.stencil is not None) == bool(dims)
@@ -556,4 +594,4 @@ class TestExtremes:
         assert fts.fallback is None
         assert (fts.stencil is not None) == bool(dims)
         for s in range(8):
-            assert fts.delta(s, 0).tolist() == list(range(8))
+            assert fts.successors(np.array([s]))[1].tolist() == list(range(8))

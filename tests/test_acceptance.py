@@ -132,7 +132,7 @@ def test_criterion_3_abstraction_soundness(bicycle_spec, bicycle_result):
         if fts.blocked[u * fts.num_states + s]:
             continue
         checked += 1
-        succ = set(fts.delta(s, u).tolist())
+        succ = set(fts.successors(np.array([u * fts.num_states + s]))[1].tolist())
         center = centers[s]
         pts = rng.uniform(center - grid.eta / 2, center + grid.eta / 2,
                           size=(1000, 3))

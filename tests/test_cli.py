@@ -155,6 +155,20 @@ class TestSynth:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("key, i, value, axis", [
+        ("state_bounds", 0, 1e308, 0),  # an inf ratio on a bounded axis
+        ("eta_x", 2, 1e-308, 2),  # and on the periodic heading
+    ])
+    def test_cells_per_axis_past_int64_exits_1(self, tmp_path, key, i, value, axis):
+        doc = json.loads(fixture_spec("case01_warehouse_crate").read_text())
+        (doc[key]["upper"] if key == "state_bounds" else doc[key])[i] = value
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("synth", str(bad), "-o", str(tmp_path / "x.txt"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: axis {axis}: "), proc.stderr
+        assert "warning:" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path / "x.txt")]) == 2

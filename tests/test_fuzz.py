@@ -1,5 +1,6 @@
 """Fuzzed readers: a damaged spec file, controller table or mock script ends
-every CLI run with an exit code in 0-3, never with an exception.
+every CLI run with an exit code in 0-3, never with an exception, and with no
+'warning:' line on stderr.
 
 The inputs are case01's spec, its exported controller table and a mock script
 that answers with the spec and then approves it.  Each example damages one of
@@ -7,6 +8,8 @@ them: a truncation, a byte flip, a number replaced by an extreme, or two of
 its first lines swapped.  No example runs synthesis.
 """
 
+import contextlib
+import io
 import re
 
 import pytest
@@ -33,6 +36,11 @@ MUTATIONS = st.tuples(
     st.sampled_from(EXTREMES),
 )
 FUZZ = settings(derandomize=True, database=None, deadline=None)
+# numbers 3 and 12 of the spec (also in the script) are state_upper's x and
+# eta_x's heading: 1e308 and 1e-308 there made cells-per-axis ratios of inf,
+# which gave numpy warnings and the wrong error, or an OverflowError
+UPPER_X_1E308 = ("extreme", 3, 1, "1e308")
+ETA_HEADING_1E_308 = ("extreme", 12, 1, "1e-308")
 
 
 def mutate(data: bytes, mutation) -> bytes:
@@ -53,6 +61,15 @@ def mutate(data: bytes, mutation) -> bytes:
     return b"".join(lines)
 
 
+def run(argv):
+    """main(argv)'s exit code; it must print no 'warning:' line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert not re.search(r"^warning:", err.getvalue(), re.MULTILINE), err.getvalue()
+    return code
+
+
 @pytest.fixture(scope="module")
 def case01_files(tmp_path_factory):
     """Directory holding case01's spec, table, NL text and mock script, as bytes too."""
@@ -71,20 +88,24 @@ def case01_files(tmp_path_factory):
 @given(target=st.sampled_from(["spec.json", "table.txt"]), mutation=MUTATIONS)
 # number 17 is the first row's value: past int64 it ended in an OverflowError
 @example(target="table.txt", mutation=("extreme", 17, 1, "99999999999999999999999"))
+@example(target="spec.json", mutation=UPPER_X_1E308)
+@example(target="spec.json", mutation=ETA_HEADING_1E_308)
 def test_simulate_on_a_damaged_spec_or_table_exits_with_a_code(case01_files, target, mutation):
     d, original = case01_files
     for name, data in original.items():
         (d / name).write_bytes(mutate(data, mutation) if name == target else data)
     argv = ["simulate", str(d / "spec.json"), str(d / "table.txt"), "--steps", "3",
             "-o", str(d / "out.csv")]
-    assert main(argv) in (0, 1, 2, 3)
+    assert run(argv) in (0, 1, 2, 3)
 
 
 @settings(FUZZ, max_examples=80)
 @given(mutation=MUTATIONS)
+@example(mutation=UPPER_X_1E308)
+@example(mutation=ETA_HEADING_1E_308)
 def test_nl2spec_on_a_damaged_mock_script_exits_with_a_code(case01_files, mutation):
     d, original = case01_files
     (d / "script.txt").write_bytes(mutate(original["script.txt"], mutation))
     argv = ["nl2spec", "--nl", str(d / "nl.txt"), "--mock", str(d / "script.txt"),
             "-o", str(d / "out.json")]
-    assert main(argv) in (0, 1, 2, 3)
+    assert run(argv) in (0, 1, 2, 3)

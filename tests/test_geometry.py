@@ -198,6 +198,15 @@ class TestGridValidation:
         with pytest.raises(OverflowError):  # a stride of 1e24 does not fit int64
             _strides((10**8,) * 4)
 
+    def test_cells_per_axis_past_int64_names_the_axis(self):
+        bounds = gs.HyperRect([0, 0, -math.pi], [1e308, 4, math.pi])
+        with pytest.raises(GeometryError, match="^axis 0: .* is inf cells"):
+            gs.UniformGrid(bounds, [0.2, 0.2, 0.2])
+        with pytest.raises(GeometryError, match="^axis 2: .* is inf cells"):
+            snap_eta_periodic(bounds, [1e300, 0.2, 1e-308], [False, False, True])
+        with pytest.raises(GeometryError, match="^axis 0: .* is 1e\\+19 cells"):
+            gs.UniformGrid(gs.HyperRect([0], [1e19]), [1.0])
+
     @pytest.mark.parametrize("far", [1e17, 1e19, 1e300, math.inf])
     def test_huge_box_covers_the_periodic_ring(self, far):
         g = grid1d(periodic=True)

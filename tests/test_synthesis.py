@@ -130,7 +130,7 @@ class TestSolveReachAvoid:
             if s in win:
                 continue
             for u in range(fts.num_inputs):
-                d = fts.delta(s, u)
+                d = fts.successors(np.array([u * fts.num_states + s]))[1]
                 assert d.size == 0 or any(int(t) not in win for t in d)
 
     def test_deterministic(self):
@@ -152,7 +152,7 @@ class TestSolveReachAvoid:
             for s in np.flatnonzero(pol.winning):
                 if int(s) in target:
                     continue
-                d = fts.delta(int(s), int(pol.choice[s]))
+                d = fts.successors(np.array([pol.choice[s] * fts.num_states + s]))[1]
                 assert d.size > 0
                 assert all(pol.winning[int(t)] for t in d)
 

@@ -15,7 +15,9 @@
 #                     declares no invariant_dims (the per-cell build, which
 #                     is also the stencil build's fallback): the sha256 of
 #                     the relation's indptr, succ and blocked arrays, and the
-#                     controller table, which must equal <case>.txt
+#                     controller table, which must equal <case>.txt; the
+#                     declared (stencil) field's successors of every pair
+#                     must equal the twin's indptr and succ (no file)
 #   demo03.txt        the harness demo's report, without its first line
 #                     (that line names the checkout's fixture directory)
 #   grader.txt        the code_agent_only category that bench.categorize
@@ -84,6 +86,9 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from gridsynth.abstraction import build_abstraction
 from gridsynth.dynamics import BICYCLE, register_field
 from gridsynth.pipeline import synthesize
 from gridsynth.specformat import parse_spec
@@ -97,6 +102,12 @@ assert fts.stencil is None
 for name in ("indptr", "succ", "blocked"):
     print(name, hashlib.sha256(getattr(fts, name).tobytes()).hexdigest())
 Path(sys.argv[2]).write_text(export_controller(result.controller, result.grid))
+declared = build_abstraction(result.grid, result.inputs, BICYCLE, spec.tau)
+assert declared.stencil is not None
+ptr, succ = declared.successors(np.arange(fts.num_states * fts.num_inputs))
+same = [np.array_equal(a, b) and a.dtype == b.dtype for a, b in ((ptr, fts.indptr), (succ, fts.succ))]
+if not all(same):
+    sys.exit(f"{sys.argv[1]}: the stencil store's successors differ from the per-cell twin's")
 PY
   cmp "$out/$c.txt" "$out/$c.twin.txt" || exit 1
 done
