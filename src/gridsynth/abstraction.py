@@ -7,14 +7,14 @@ touches.  Pairs whose box exits the gridded domain in a non-periodic
 dimension are marked blocked: no transition is claimed, which is the
 conservative choice.
 
-The relation is kept in one of two stores; FiniteTransitionSystem.successors
-reads the same successor sets in the same order from either.  The CSR store
-holds every pair's successor list (flat successor array + offsets).  A field
-that declares invariant_dims gets the stencil store instead: there a pair's
+The relation is a FiniteTransitionSystem, which holds every pair's successor
+list as CSR (flat successor array + offsets).  A field that declares
+invariant_dims gets its subclass StencilStore instead: there a pair's
 successor box, taken relative to the pair's own cell in the invariant
 dimensions, depends only on its class (the grid index of the other
 dimensions, together with the input), so one box per class and each pair's
-blocked flag and successor count describe the whole relation.
+blocked flag and successor count describe the whole relation.  Both answer
+successors, predecessors and counts with the same sets in the same order.
 
 That store is built from per-dimension factors.  Every value the per-cell
 build computes, a center coordinate after RK4, its exit flag and its cell
@@ -150,7 +150,104 @@ def _cell_ranges(grid: UniformGrid, endc, radius):
     return nonfinite, exits, k_min, k_max
 
 
-class StencilStore:
+class FiniteTransitionSystem:
+    """Transition relation over abstract states and inputs, held as CSR.
+
+    Pair (state s, input u) lives at index u * num_states + s.
+    succ[indptr[q]:indptr[q+1]] lists pair q's successors, sorted and
+    duplicate-free, and blocked[q] marks the pairs that claim no transition.
+    The solver reads the relation through successors, predecessors and
+    counts only; StencilStore, built for a field that declares
+    invariant_dims, answers the same three from one successor box per
+    class.
+
+    fallback says why a field that declares invariant_dims got this store
+    anyway (None when it did not).  Index arrays take _index_dtype of their
+    largest value: succ holds state ids (int32 unless num_states reaches
+    2**31), the reverse relation holds pair ids; indptr is always int64.
+    """
+
+    def __init__(
+        self,
+        num_states: int,
+        num_inputs: int,
+        indptr: np.ndarray,  # int64, length num_states * num_inputs + 1
+        succ: np.ndarray,  # _index_dtype(num_states)
+        blocked: np.ndarray,  # bool, length num_states * num_inputs
+        nonfinite_pairs: int = 0,
+        fallback: str = None,
+    ):
+        self.num_states = num_states
+        self.num_inputs = num_inputs
+        self.indptr = indptr
+        self.succ = succ
+        self.blocked = blocked
+        self.nonfinite_pairs = nonfinite_pairs
+        self.fallback = fallback
+        self._reverse = None
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each pair's successor count, 0 for a blocked pair."""
+        return np.diff(self.indptr)
+
+    @property
+    def num_transitions(self) -> int:
+        return int(self.counts.sum())
+
+    def successors(self, pairs):
+        """(ptr, succ) for an int64 array of pair ids: succ[ptr[i]:ptr[i+1]]
+        lists pair i's successors, sorted, and is empty for a blocked pair."""
+        return _rows(self.indptr, self.succ, pairs)
+
+    def predecessors(self, frontier) -> np.ndarray:
+        """Pair ids q with a state of frontier in succ(q), once per such edge.
+
+        A fresh array in no particular order.  A StencilStore also lists
+        blocked pairs.
+        """
+        return _rows(*self.reverse(), frontier)[1]
+
+    def reverse(self):
+        """Predecessor map: for each state s', the pair ids q with s' in succ(q).
+
+        Returns (rev_indptr, rev_pairs) CSR over states, pair ids ascending
+        within each state; built once, cached.  Filled one input block at a
+        time: block u holds pair ids above every earlier block's, so sorting
+        each block's edges by (target, pair id) and appending them to their
+        targets' rows gives the order of a global stable sort by target
+        without any relation-sized temporary.
+        """
+        if self._reverse is None:
+            S, U = self.num_states, self.num_inputs
+            blocks = [self.succ[self.indptr[u * S] : self.indptr[(u + 1) * S]] for u in range(U)]
+            # per-block counts: a bincount of all of succ would copy it to intp
+            hits = np.array([np.bincount(b, minlength=S) for b in blocks])
+            rev_indptr = np.zeros(S + 1, dtype=np.int64)
+            np.cumsum(hits.sum(axis=0), out=rev_indptr[1:])
+            rev_pairs = np.empty(self.succ.size, dtype=_index_dtype(S * U))
+            filled = rev_indptr[:-1].copy()  # next free slot of each state's row
+            # key target * S + state is unique within a block, so a plain sort
+            # orders the block's edges by target, then by pair id; the key
+            # later holds pair ids, hence the max(S, U)
+            key_dtype = _index_dtype(S * max(S, U))
+            states = np.arange(S, dtype=key_dtype)
+            for u, targets in enumerate(blocks):
+                key = np.repeat(states, np.diff(self.indptr[u * S : (u + 1) * S + 1]))
+                key += targets * key_dtype(S)
+                key.sort()
+                key %= key_dtype(S)
+                key += key_dtype(u * S)  # now the pair ids, grouped by target
+                # the block's edges into t go to filled[t], filled[t] + 1, ...
+                slot = np.repeat(filled - (np.cumsum(hits[u]) - hits[u]), hits[u])
+                slot += np.arange(key.size)
+                rev_pairs[slot] = key
+                filled += hits[u]
+            self._reverse = (rev_indptr, rev_pairs)
+        return self._reverse
+
+
+class StencilStore(FiniteTransitionSystem):
     """The relation of a field with invariant dimensions, one box per class.
 
     A class is the grid index of the dimensions the field reads, together
@@ -159,7 +256,10 @@ class StencilStore:
     others) and width (last index minus first) per dimension, before any
     clipping to the grid; a pair's successors are that box moved to its cell
     and clipped as the CSR build clips it.  Beside the boxes the store keeps
-    each pair's blocked flag and successor count.
+    each pair's blocked flag and successor count (counts, an array here).
+    successors, predecessors and counts are its own; indptr and succ are a
+    CSR view built from successors on first read, for perfbench's checks
+    and reverse().
 
     The build integrates only the diagonal: row (c, j) of starts, a (C, J, n)
     batch with J the largest grid size of an invariant dimension, holds
@@ -169,7 +269,12 @@ class StencilStore:
     its own index along that dimension (see build_abstraction).
     """
 
-    def __init__(self, grid: UniformGrid, invariant_dims):
+    counts = None  # int32 per pair, set by build_abstraction
+
+    def __init__(self, grid: UniformGrid, invariant_dims, num_inputs: int):
+        self.num_states, self.num_inputs = grid.num_cells, num_inputs
+        self.nonfinite_pairs, self.fallback = 0, None
+        self._csr = self._reverse = self._tables = None
         self.grid = grid
         self.shape = np.array(grid.shape, dtype=np.int64)
         self.periodic = np.array(grid.periodic, dtype=bool)
@@ -198,34 +303,35 @@ class StencilStore:
             for d, N in enumerate(grid.shape)
         ]
         # set by build_abstraction: (U, C, n) boxes, (U, C) whether a class
-        # has an unblocked cell, and per pair the counts and blocked flags
-        self.lo = self.width = self.has = None
-        self.counts = self.blocked = None
-        self._tables = None
+        # has an unblocked cell, and per pair the blocked flags
+        self.lo = self.width = self.has = self.blocked = None
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._view()[0]
+
+    @property
+    def succ(self) -> np.ndarray:
+        return self._view()[1]
+
+    def _view(self):
+        if self._csr is None:
+            S, U = self.num_states, self.num_inputs
+            blocks = _map_inputs(
+                lambda u: self.successors(np.arange(u * S, (u + 1) * S))[1], range(U)
+            )
+            indptr = np.zeros(S * U + 1, dtype=np.int64)
+            np.cumsum(self.counts, dtype=np.int64, out=indptr[1:])
+            self._csr = indptr, np.concatenate(list(blocks))
+        return self._csr
 
     def _on_grid(self, factor):
         """Per dimension, factor (C, J, n) as an array broadcastable to grid.shape."""
         return [factor[self._open_cls, self._open_index[d], d] for d in range(self.grid.n)]
 
-    def pairs(self, nonfinite, exits, k_min, k_max):
-        """One input's (counts, blocked, non-finite pairs) from its diagonal ranges.
-
-        A cell is blocked when any dimension's value is non-finite or exits;
-        its count is the product of each dimension's clipped span.
-        """
-        nonfinite_cells = functools.reduce(np.logical_or, self._on_grid(nonfinite))
-        blocked = functools.reduce(np.logical_or, self._on_grid(exits), nonfinite_cells)
-        rows = (-1, self.grid.n)
-        _, span, _ = _clip(
-            k_min.reshape(rows), k_max.reshape(rows), False, self.shape, self.periodic
-        )
-        counts = functools.reduce(np.multiply, self._on_grid(span.reshape(k_min.shape)))
-        counts = np.where(blocked, 0, counts).ravel()
-        nonfinite_pairs = int(np.broadcast_to(nonfinite_cells, self.grid.shape).sum())
-        return counts, blocked.ravel(), nonfinite_pairs
-
-    def boxes(self, nonfinite, exits, k_min, k_max):
-        """(lo, width, has) of every class from one input's diagonal ranges.
+    def factors(self, nonfinite, exits, k_min, k_max):
+        """One input's ((lo, width, has), counts, blocked, non-finite pairs)
+        from its diagonal ranges, or why its classes have no one box each.
 
         A class's unblocked cells are the product of each dimension's
         unblocked indices, so they all give one box exactly when, in every
@@ -233,7 +339,9 @@ class StencilStore:
         index, width).  A span of N_d cells or more in a periodic dimension
         covers the whole ring wherever it starts, so it is taken as the one
         box (0, N_d - 1).  Otherwise returns a string naming the first class
-        that breaks this.
+        that breaks this.  A cell is blocked when any dimension's value is
+        non-finite or exits; its count is the product of each dimension's
+        clipped span.
         """
         live = ~(nonfinite | exits)
         has = live.any(axis=1).all(axis=1)
@@ -247,11 +355,18 @@ class StencilStore:
         bad = np.flatnonzero(has & ~agree)
         if bad.size:
             return f"class {bad[0]}: its cells' successor boxes differ"
-        return first[..., 0], first[..., 1], has
+        nonfinite_cells = functools.reduce(np.logical_or, self._on_grid(nonfinite))
+        blocked = functools.reduce(np.logical_or, self._on_grid(exits), nonfinite_cells)
+        _, span, _ = _clip(
+            k_min.reshape(-1, n), k_max.reshape(-1, n), False, self.shape, self.periodic
+        )
+        counts = functools.reduce(np.multiply, self._on_grid(span.reshape(k_min.shape)))
+        counts = np.where(blocked, 0, counts).ravel()
+        nonfinite_pairs = int(np.broadcast_to(nonfinite_cells, self.grid.shape).sum())
+        return (first[..., 0], first[..., 1], has), counts, blocked.ravel(), nonfinite_pairs
 
     def successors(self, pairs):
-        """(ptr, succ) of the pair ids: each pair's box moved to its cell and
-        clipped, then listed in order; empty for a blocked pair."""
+        """Each pair's box moved to its cell and clipped, then listed in order."""
         S, n = self.grid.num_cells, self.grid.n
         cells = pairs % S
         box = pairs // S * self.num_classes + self.cls[cells]
@@ -312,13 +427,14 @@ class StencilStore:
         live = np.flatnonzero(np.diff(ptr))
         d_lo[live] = np.minimum.reduceat(delta, ptr[live], axis=0)
         d_hi[live] = np.maximum.reduceat(delta, ptr[live], axis=0)
-        index = _index_dtype(S * (len(self.lo) + 2))  # |pair| < S * U + 2 S
+        index = _index_dtype(S * (self.num_inputs + 2))  # |pair| < S * U + 2 S
         return ptr, pair[order].astype(index), delta.T.copy(), d_lo, d_hi
 
     def predecessors(self, frontier):
         """Pair ids with a successor in frontier, once per such edge, unordered.
 
-        Blocked pairs are included.  The cells of each target class are
+        Blocked pairs are included; their count of 0 keeps the solver from
+        certifying them.  The cells of each target class are
         broadcast against its table; only cells near the grid's edge in an
         invariant dimension need the bounds check (or the wrap, in a
         periodic dimension).
@@ -356,140 +472,6 @@ class StencilStore:
                 on_grid &= (src >= 0) & (src < n)
         return q[on_grid].astype(pair.dtype)
 
-
-class FiniteTransitionSystem:
-    """Transition relation over abstract states and inputs.
-
-    Pair (state s, input u) lives at index u * num_states + s.  successors
-    lists a batch of pairs' successors, each sorted and duplicate-free, and
-    blocked[q] marks the pairs that claim no transition.  The relation sits
-    in one of two stores, each answering successors its own way:
-
-    - CSR (stencil is None): succ[indptr[q]:indptr[q+1]] lists pair q's
-      successors; the solver gathers predecessors from reverse().
-    - stencil (a StencilStore, built for a field that declares
-      invariant_dims): one successor box per class plus per-pair counts.
-      indptr and succ are then a CSR view, built from successors on first
-      read and cached for perfbench's checks; reverse() is built from it.
-
-    fallback says why a field that declares invariant_dims got the CSR store
-    anyway (None when it did not).  Index arrays take _index_dtype of their
-    largest value: succ holds state ids (int32 unless num_states reaches
-    2**31), the reverse relation holds pair ids; indptr is always int64.
-    """
-
-    def __init__(
-        self,
-        num_states: int,
-        num_inputs: int,
-        indptr: np.ndarray = None,  # int64, length num_states * num_inputs + 1
-        succ: np.ndarray = None,  # _index_dtype(num_states)
-        blocked: np.ndarray = None,  # bool, length num_states * num_inputs
-        nonfinite_pairs: int = 0,
-        stencil: StencilStore = None,
-        fallback: str = None,
-    ):
-        self.num_states = num_states
-        self.num_inputs = num_inputs
-        self.blocked = blocked
-        self.nonfinite_pairs = nonfinite_pairs
-        self.stencil = stencil
-        self.fallback = fallback
-        self._csr = None if stencil is not None else (indptr, succ)
-        self._reverse = None
-
-    def _view(self):
-        # perfbench's checks are the only reader of a stencil store's view
-        if self._csr is None:
-            S, U = self.num_states, self.num_inputs
-            blocks = _map_inputs(
-                lambda u: self.successors(np.arange(u * S, (u + 1) * S))[1], range(U)
-            )
-            indptr = np.zeros(S * U + 1, dtype=np.int64)
-            np.cumsum(self.stencil.counts, dtype=np.int64, out=indptr[1:])
-            self._csr = indptr, np.concatenate(list(blocks))
-        return self._csr
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._view()[0]
-
-    @property
-    def succ(self) -> np.ndarray:
-        return self._view()[1]
-
-    def successors(self, pairs):
-        """(ptr, succ) for an int64 array of pair ids: succ[ptr[i]:ptr[i+1]]
-        lists pair i's successors, sorted, and is empty for a blocked pair."""
-        if self.stencil is not None:
-            return self.stencil.successors(pairs)
-        return _rows(*self._csr, pairs)
-
-    @property
-    def num_transitions(self) -> int:
-        if self.stencil is not None:
-            return int(self.stencil.counts.sum())
-        return int(self.succ.size)
-
-    def outstanding(self) -> np.ndarray:
-        """Fresh int32 outstanding-successor counters: each pair's successor count.
-
-        The solver certifies a pair when a decrement brings its counter to
-        zero, so a blocked pair (count 0) is never certified, even where the
-        stencil store lists it as a predecessor.
-        """
-        counts = self.stencil.counts if self.stencil is not None else np.diff(self.indptr)
-        return counts.astype(np.int32)
-
-    def predecessors(self, frontier) -> np.ndarray:
-        """Pair ids q with a state of frontier in succ(q), once per such edge.
-
-        A fresh array in no particular order; the stencil store also lists
-        blocked pairs (see outstanding).
-        """
-        if self.stencil is not None:
-            return self.stencil.predecessors(frontier)
-        return _rows(*self.reverse(), frontier)[1]
-
-    def reverse(self):
-        """Predecessor map: for each state s', the pair ids q with s' in succ(q).
-
-        Returns (rev_indptr, rev_pairs) CSR over states, pair ids ascending
-        within each state; built once, cached.  Filled one input block at a
-        time: block u holds pair ids above every earlier block's, so sorting
-        each block's edges by (target, pair id) and appending them to their
-        targets' rows gives the order of a global stable sort by target
-        without any relation-sized temporary.
-        """
-        if self._reverse is None:
-            S, U = self.num_states, self.num_inputs
-            blocks = [self.succ[self.indptr[u * S] : self.indptr[(u + 1) * S]] for u in range(U)]
-            # per-block counts: a bincount of all of succ would copy it to intp
-            hits = np.array([np.bincount(b, minlength=S) for b in blocks])
-            rev_indptr = np.zeros(S + 1, dtype=np.int64)
-            np.cumsum(hits.sum(axis=0), out=rev_indptr[1:])
-            rev_pairs = np.empty(self.succ.size, dtype=_index_dtype(S * U))
-            filled = rev_indptr[:-1].copy()  # next free slot of each state's row
-            # key target * S + state is unique within a block, so a plain sort
-            # orders the block's edges by target, then by pair id; the key
-            # later holds pair ids, hence the max(S, U)
-            key_dtype = _index_dtype(S * max(S, U))
-            states = np.arange(S, dtype=key_dtype)
-            for u, targets in enumerate(blocks):
-                key = np.repeat(states, np.diff(self.indptr[u * S : (u + 1) * S + 1]))
-                key += targets * key_dtype(S)
-                key.sort()
-                key %= key_dtype(S)
-                key += key_dtype(u * S)  # now the pair ids, grouped by target
-                # the block's edges into t go to filled[t], filled[t] + 1, ...
-                slot = np.repeat(filled - (np.cumsum(hits[u]) - hits[u]), hits[u])
-                slot += np.arange(key.size)
-                rev_pairs[slot] = key
-                filled += hits[u]
-            self._reverse = (rev_indptr, rev_pairs)
-        return self._reverse
-
-
 def build_abstraction(
     grid: UniformGrid,
     inputs: np.ndarray,
@@ -522,12 +504,11 @@ def build_abstraction(
     cell of its class with its index along d.  _cell_ranges, overlap_range
     and _clip then work per dimension, so every flag and index range is
     too.  A pair's blocked flag is the OR, and its count the product, of its
-    dimensions' factors, broadcast over the grid.  Each task keeps its
-    input's class boxes (StencilStore.boxes), or returns why a class's cells
-    disagree on their box; then the relation is built again by the
-    per-cell path above, and fallback names the first such input and class.
-    Either way the successor sets are those of the same field without the
-    declaration.
+    dimensions' factors, broadcast over the grid.  Each task returns its
+    input's factors (StencilStore.factors), or why a class's cells disagree
+    on their box; then the relation is built again by the per-cell path
+    above, and fallback names the first such input and class.  Either way
+    the successor sets are those of the same field without the declaration.
     """
     if grid.n != f.dim_state:
         raise GeometryError("grid/state dimension mismatch")
@@ -557,25 +538,20 @@ def build_abstraction(
 
     fallback = None
     if f.invariant_dims and U:
-        store = StencilStore(grid, f.invariant_dims)
+        store = StencilStore(grid, f.invariant_dims, U)
 
         def stencil_task(item):
-            """One input: (class boxes, counts, blocked, non-finite pairs), or why not."""
+            """One input's factors, or why not."""
             u, u_vec = item
             endc = integrate_path(f, store.starts, u_vec, tau)[-1]
-            ranges = _cell_ranges(grid, endc, radius)
-            boxes = store.boxes(*ranges)
-            if isinstance(boxes, str):
-                return f"input {u}, {boxes}"
-            return (boxes, *store.pairs(*ranges))
+            factors = store.factors(*_cell_ranges(grid, endc, radius))
+            return f"input {u}, {factors}" if isinstance(factors, str) else factors
 
         built = merged(stencil_task)
         if not isinstance(built, str):
-            boxes, store.counts, store.blocked, nonfinite_pairs = built
+            boxes, store.counts, store.blocked, store.nonfinite_pairs = built
             store.lo, store.width, store.has = (np.stack(x) for x in zip(*boxes))
-            return FiniteTransitionSystem(
-                S, U, blocked=store.blocked, nonfinite_pairs=nonfinite_pairs, stencil=store
-            )
+            return store
         fallback = built
 
     shape = np.array(grid.shape, dtype=np.int64)

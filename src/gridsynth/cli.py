@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
+from .abstraction import StencilStore
 from .agents import (
     DEFAULT_K_MAX,
     AcceptedSpec,
@@ -74,13 +75,15 @@ def cmd_synth(args) -> int:
     )
     pol = result.controller.stages[0]
     fts = result.fts
-    relation = "stencil" if fts.stencil is not None else "csr"
+    relation = "stencil" if isinstance(fts, StencilStore) else "csr"
     if fts.fallback is not None:
         relation += f" (fallback: {fts.fallback})"
     print(
         f"abstract states: {result.grid.num_cells}\n"
         f"inputs: {result.inputs.shape[0]}\n"
         f"transitions: {fts.num_transitions}\n"
+        f"blocked pairs: {np.count_nonzero(fts.blocked)} of {fts.blocked.size}, "
+        f"non-finite: {fts.nonfinite_pairs}\n"
         f"relation: {relation}\n"
         f"winning fraction (stage 0): {result.winning_fraction:.4f}\n"
         f"abstraction build: {result.build_seconds:.2f}s, solve: "

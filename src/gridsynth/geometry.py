@@ -92,10 +92,6 @@ class HyperRect:
     def center(self):
         return 0.5 * (self.lower + self.upper)
 
-    @property
-    def sides(self):
-        return self.upper - self.lower
-
     def contains(self, x, tol=0.0):
         """Closed membership test; accepts a single point or an (N, dim) batch."""
         x = np.asarray(x, dtype=float)

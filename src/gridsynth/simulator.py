@@ -121,11 +121,19 @@ def check_reach_avoid(traj: Trajectory, spec: ProblemSpec) -> ReachAvoidVerdict:
     earlier stage in order, with no obstacle contact strictly before that
     time.  Checked at the trajectory's fine (substep) resolution; clearance
     is a synthesis-side constraint and is deliberately not re-checked here.
+    A target or obstacle with more dimensions than the trajectory's states
+    (a plan without a heading against a heading constraint) cannot be
+    checked and raises SchemaError naming it.
     """
     times = traj.fine_times
     states = traj.fine_states
     if states.ndim != 2 or states.shape[0] == 0:
         return ReachAvoidVerdict(satisfied=False)
+    for kind, rects in (("target", spec.target_rects), ("obstacle", spec.obstacle_rects)):
+        for i, rect in enumerate(rects):
+            if rect.dim > states.shape[1]:
+                raise SchemaError(f"{kind} {i} has {rect.dim} dimensions, "
+                                  f"the trajectory's states {states.shape[1]}")
 
     # first stage-ordered entry into the final target
     stage = 0

@@ -4,15 +4,15 @@ The winning set is the least fixed point of the controllable-predecessor
 operator under worst-case nondeterminism: an input certifies a state only
 when every abstract successor is already winning.  The solver runs a
 backward breadth-first sweep with per-(state, input) outstanding-successor
-counters.  Each level gathers the predecessor edges into the frontier
-(FiniteTransitionSystem.predecessors: the reverse relation of a CSR store,
-or each target class's stencil offsets added to its frontier cells in a
-stencil store), sorts their pair ids and counts each run, and takes the
-counts off the counters; a pair whose counter reaches zero certifies its
-state.  Every edge is gathered once per stage, so a stage costs one gather
-and one sort of the relation's edges in level-sized pieces.  Ties between
-certifying inputs break toward the smallest input id, making the extracted
-controller deterministic.
+counters, which start at FiniteTransitionSystem.counts.  Each level gathers
+the predecessor edges into the frontier (FiniteTransitionSystem.predecessors:
+the reverse relation of the CSR store, or each target class's offsets added
+to its frontier cells in a StencilStore), sorts their pair ids and counts
+each run, and takes the counts off the counters; a pair whose counter
+reaches zero certifies its state.  Every edge is gathered once per stage,
+so a stage costs one gather and one sort of the relation's edges in
+level-sized pieces.  Ties between certifying inputs break toward the
+smallest input id, making the extracted controller deterministic.
 """
 
 from __future__ import annotations
@@ -98,9 +98,11 @@ def _solve_stage(fts: FiniteTransitionSystem, obstacle, goal) -> StagePolicy:
         if total == 0:
             break
         if outstanding is None:
-            # made after the first gather, so the counters are not held
-            # while a CSR store builds its reverse relation
-            outstanding = fts.outstanding()
+            # each pair's successor count, made after the first gather so
+            # the counters are not held while the CSR store builds its
+            # reverse relation; a blocked pair counts 0 and is never
+            # certified, even where a StencilStore lists it as a predecessor
+            outstanding = fts.counts.astype(np.int32)
         qs.sort()
         starts = np.flatnonzero(np.concatenate([[True], qs[1:] != qs[:-1]]))
         cand = qs[starts]

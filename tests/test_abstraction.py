@@ -10,6 +10,7 @@ import gridsynth as gs
 from gridsynth import abstraction, dynamics
 from gridsynth.abstraction import (
     FiniteTransitionSystem,
+    StencilStore,
     _index_dtype,
     build_abstraction,
     build_input_grid,
@@ -394,10 +395,13 @@ def policies(fts, grid):
 
 
 def assert_same_relation(got, want, grid, pairs=None):
+    # a stencil store is read through the same queries as the CSR store
+    assert isinstance(got, FiniteTransitionSystem) and isinstance(want, FiniteTransitionSystem)
     every = np.arange(got.num_states * got.num_inputs)
     for a, b in zip(got.successors(every), want.successors(every)):
         assert np.array_equal(a, b) and a.dtype == b.dtype
     assert np.array_equal(got.blocked, want.blocked)
+    assert np.array_equal(got.counts, want.counts)
     assert got.nonfinite_pairs == want.nonfinite_pairs
     assert got.num_transitions == want.num_transitions
     for q in every if pairs is None else pairs:
@@ -424,8 +428,8 @@ class TestStencilStore:
         grid = case[0]
         fts = build_abstraction(*case)
         twin = build_abstraction(grid, case[1], twin_field, case[3])
-        assert fts.stencil is not None and fts.fallback is None
-        assert twin.stencil is None and twin.fallback is None
+        assert isinstance(fts, StencilStore) and fts.fallback is None
+        assert not isinstance(twin, StencilStore) and twin.fallback is None
         assert (fts.nonfinite_pairs > 0) == (name == "non-finite")
         # case01 has 607,600 pairs: every one goes through one batch, a
         # sample through one-pair batches
@@ -455,7 +459,7 @@ class TestStencilStore:
         monkeypatch.setattr(abstraction, "integrate_path", moved)
         fts = build_abstraction(*case)
         twin = build_abstraction(grid, inputs, twin_field, case[3])
-        assert fts.stencil is None
+        assert not isinstance(fts, StencilStore)
         assert fts.fallback.startswith("input 1, class ")
         assert twin.fallback is None
         assert not np.array_equal(twin.succ, plain.succ)  # the shift shows
@@ -479,7 +483,7 @@ class TestStencilStore:
         )
         fts = build_abstraction(grid, inputs, field, tau)
         twin = build_abstraction(grid, inputs, dataclasses.replace(field, invariant_dims=()), tau)
-        assert fts.stencil is None
+        assert not isinstance(fts, StencilStore)
         assert fts.fallback == "input 0, class 0: its cells' successor boxes differ"
         assert set(np.diff(twin.indptr).tolist()) == {2, 3}  # per cell, by rounding
         assert_same_relation(fts, twin, grid)
@@ -508,7 +512,7 @@ class TestStencilStore:
         fts = build_abstraction(grid, inputs, field, spec.tau)
         C, J = grid.shape[2], max(grid.shape[:2])
         U = len(inputs)
-        assert fts.stencil is not None
+        assert isinstance(fts, StencilStore)
         assert batches == [(C, J, 3)] * U
         assert max(rows) <= C
         # four RK4 stages per substep, and the invariance check's first k1
@@ -520,11 +524,13 @@ class TestStencilStore:
         # inputs mixed, blocked pairs and repeated ids in one batch, against
         # the per-cell twin's CSR rows
         if name == "fallback":
-            monkeypatch.setattr(abstraction.StencilStore, "boxes", lambda self, *r: "forced")
+            monkeypatch.setattr(abstraction.StencilStore, "factors", lambda self, *r: "forced")
         case, twin_field = stencil_case("periodic-wrap" if name == "fallback" else name, dims)
         fts = build_abstraction(*case)
         twin = build_abstraction(case[0], case[1], twin_field, case[3])
-        assert (fts.stencil is None) == (name == "fallback") and twin.stencil is None
+        assert (not isinstance(fts, StencilStore)) == (name == "fallback") and not isinstance(
+            twin, StencilStore
+        )
         S, U = fts.num_states, fts.num_inputs
         rng = np.random.default_rng(4)
         blocked = rng.choice(np.flatnonzero(fts.blocked), 5)
@@ -547,7 +553,7 @@ class TestStencilStore:
     def test_synthesis_builds_no_csr_view(self):
         result = synthesize(case01_spec())
         fts, S = result.fts, result.fts.num_states
-        assert fts.stencil is not None and fts.fallback is None
+        assert isinstance(fts, StencilStore) and fts.fallback is None
         assert fts.num_transitions > 0
         for pol in result.controller.stages:
             cells = np.flatnonzero(pol.choice >= 0)
@@ -579,7 +585,7 @@ class TestExtremes:
         assert fts.successors(np.array([16 + 5]))[1].tolist() == list(range(16))
         # a full-ring box is one box for every cell: no fallback to CSR
         assert fts.fallback is None
-        assert (fts.stencil is not None) == bool(dims)
+        assert isinstance(fts, StencilStore) == bool(dims)
 
     @pytest.mark.parametrize("dims", [(), (0,)])
     def test_position_past_the_lattice_limit_is_the_whole_ring(self, dims):
@@ -592,6 +598,6 @@ class TestExtremes:
         grid = UniformGrid(HyperRect([0.0], [8.0]), np.ones(1), [True])
         fts = build_abstraction(grid, np.array([[1e17]]), field, 1.0)
         assert fts.fallback is None
-        assert (fts.stencil is not None) == bool(dims)
+        assert isinstance(fts, StencilStore) == bool(dims)
         for s in range(8):
             assert fts.successors(np.array([s]))[1].tolist() == list(range(8))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from gridsynth.bench import (
     run_paraphrase,
 )
 from gridsynth.errors import GridSynthError
+from gridsynth.geometry import TwoDiagonalVertices
 
 from conftest import correct_response, fenced, perturbed_response
 
@@ -118,6 +120,20 @@ class TestCategorize:
         result = run_paraphrase(DIRECT_LLM, client, case.paraphrases[0])
         cat, _ = categorize(DIRECT_LLM, result, case.ground_truth)
         assert cat == INCORRECT_EXECUTION
+
+    def test_direct_llm_plan_without_heading_for_a_heading_target(self, cases):
+        # a 3-D target constrains the heading, which an [t, x, y] plan does
+        # not give: the plan cannot be certified, and is recorded as such
+        case = cases[0]
+        target = TwoDiagonalVertices((3.0, 3.0, -1.0), (3.8, 3.8, 1.0))
+        gt = dataclasses.replace(case.ground_truth, targets=(target,))
+        plan = {"trajectory": [[0.0, 0.5, 0.5], [1.0, 3.4, 3.4]]}
+        client = MockClient([fenced(json.dumps(plan))] * 3)
+        report = run_benchmark([dataclasses.replace(case, ground_truth=gt)], DIRECT_LLM, client)
+        assert report.rows == [(case.id, i, INCORRECT_EXECUTION, False) for i in (1, 2, 3)]
+        assert list(report.errors.values()) == [
+            "target 0 has 3 dimensions, the trajectory's states 2"
+        ] * 3
 
 
 class TestRobustness:

@@ -88,7 +88,12 @@ class TestSynth:
     def test_summary_names_the_relation_store(self, tmp_path, spec_file, capsys, monkeypatch):
         out = tmp_path / "r.txt"
         assert main(["synth", str(spec_file), "-o", str(out)]) == 0
-        assert "\nrelation: stencil\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "\nrelation: stencil\n" in err
+        # spec_file is case01's spec, 12,400 cells x 49 inputs; both stores
+        # count the same pairs
+        blocked = "\nblocked pairs: 90964 of 607600, non-finite: 0\n"
+        assert blocked in err
         eta = gs.parse_spec(spec_file.read_text()).build_grid().eta
         real = abstraction.integrate_path
 
@@ -103,10 +108,12 @@ class TestSynth:
 
         monkeypatch.setattr(abstraction, "integrate_path", moved)
         main(["synth", str(spec_file), "-o", str(out)])
+        err = capsys.readouterr().err
         assert (
             "\nrelation: csr (fallback: input 0, class 0: its cells' successor boxes differ)\n"
-            in capsys.readouterr().err
+            in err
         )
+        assert blocked in err
 
     def test_svg_output(self, tmp_path, spec_file):
         out = tmp_path / "c.txt"
@@ -404,6 +411,23 @@ class TestEval:
         out = tmp_path / "report"
         assert main(["eval", "--strategy", "direct_llm", "--cases", str(case_dir),
                      "--mock", str(script), "-o", str(out)]) == 0
+        rows = (out / "report.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[-1] for r in rows] == ["IncorrectExecution"] * 3
+
+    def test_direct_plan_without_heading_for_a_heading_target(self, tmp_path):
+        case_dir = tmp_path / "cases" / "case01_warehouse_crate"
+        shutil.copytree(fixtures_dir() / case_dir.name, case_dir)
+        doc = json.loads((case_dir / "spec.json").read_text())
+        doc["targets"] = [{"kind": "diagonal", "points": [[3, 3, -1], [3.8, 3.8, 1]]}]
+        (case_dir / "spec.json").write_text(json.dumps(doc))
+        script = tmp_path / "script.txt"
+        plan = '{"trajectory": [[0, 0.5, 0.5], [1, 3.4, 3.4]]}'
+        write_script([fenced(plan)] * 3, script)
+        out = tmp_path / "report"
+        proc = run_cli("eval", "--strategy", "direct_llm", "--cases", str(tmp_path / "cases"),
+                       "--mock", str(script), "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
         rows = (out / "report.csv").read_text().strip().split("\n")[1:]
         assert [r.split(",")[-1] for r in rows] == ["IncorrectExecution"] * 3
 
